@@ -21,9 +21,9 @@
 //! **bit-identical** to the arena kernel (enforced by the `flat_vs_arena`
 //! differential suite), so the swap is invisible in every rendered report.
 //!
-//! [`FlatIncrementalSums`] is the factored O(depth)-edit form
-//! ([`IncrementalSums`](crate::IncrementalSums)) ported onto flat offsets;
-//! it preserves the same bit-identity and early-exit contracts.
+//! [`FlatIncrementalSums`] keeps the same sums in a factored form that a
+//! single-section edit updates in O(depth), bit-identical to a
+//! from-scratch pass at every point of an edit sequence.
 
 use rlc_tree::flat::{FlatForest, FlatTree, NO_PARENT};
 use rlc_units::{Capacitance, Inductance, Resistance, Time, TimeSquared};
@@ -216,18 +216,22 @@ fn for_path_root_first(parents: &[u32], node: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// The factored tree sums of
-/// [`IncrementalSums`](crate::IncrementalSums), ported onto flat offsets:
-/// subtree capacitances `C_i^T` plus the per-section contribution terms
-/// `R_i·C_i^T` / `L_i·C_i^T`, updatable in O(depth) per section edit.
+/// The factored tree sums over flat offsets: subtree capacitances
+/// `C_i^T` plus the per-section contribution terms `R_i·C_i^T` /
+/// `L_i·C_i^T`, whose root-path prefix sums are exactly `T_RC(i)` and
+/// `T_LC(i)` (paper eqs. 52–53), updatable in O(depth) per section edit.
 ///
 /// Kept consistent with an external [`FlatTree`]: mirror every value edit
 /// with [`FlatTree::set_section`] then call
-/// [`apply_edit`](Self::apply_edit). All contracts of the arena-layout
-/// original carry over — exact re-derivation (no accumulated deltas), the
-/// early exit that makes `R`/`L`-only edits O(1), and root-first query
-/// folds that keep every probe bit-identical to a from-scratch
-/// [`tree_sums`](crate::tree_sums).
+/// [`apply_edit`](Self::apply_edit). Edits re-derive the affected terms
+/// exactly from current element values (no accumulated deltas, so an
+/// edit and its revert restore the sums bit for bit), an early exit makes
+/// `R`/`L`-only edits O(1), and queries fold root-first so every probe is
+/// bit-identical to a from-scratch [`tree_sums`](crate::tree_sums).
+///
+/// One edit costs O(depth), so a probe that rewrites every section of a
+/// tree costs O(n·depth): such a probe should re-sum with
+/// [`flat_sums_into`] instead.
 ///
 /// # Examples
 ///
@@ -302,9 +306,8 @@ impl FlatIncrementalSums {
     }
 
     /// Re-derives the terms invalidated by a value edit of section `node`,
-    /// walking the flat parent chain bottom-up with the same early exit as
-    /// the arena version: stop as soon as a recomputed subtree capacitance
-    /// is unchanged.
+    /// walking the flat parent chain bottom-up and stopping as soon as a
+    /// recomputed subtree capacitance is unchanged.
     ///
     /// # Panics
     ///
@@ -429,7 +432,7 @@ impl FlatIncrementalSums {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tree_sums, IncrementalSums};
+    use crate::tree_sums;
     use rlc_tree::{topology, RlcSection, RlcTree};
 
     fn s(r: f64, l: f64, c: f64) -> RlcSection {
@@ -496,40 +499,57 @@ mod tests {
         }
     }
 
+    /// Two disjoint roots: each root's sums must ignore the other's edits.
+    fn two_roots() -> RlcTree {
+        let mut tree = RlcTree::new();
+        let a = tree.add_root_section(s(2.0, 1e-9, 3e-13));
+        tree.add_section(a, s(4.0, 2e-9, 1e-13));
+        let b = tree.add_root_section(s(5.0, 0.0, 7e-13));
+        tree.add_section(b, s(1.0, 3e-9, 2e-13));
+        tree
+    }
+
     #[test]
-    fn flat_incremental_matches_arena_incremental_through_edits() {
-        let mut tree = random(11, 60);
-        let mut flat = FlatTree::from_tree(&tree);
-        let mut arena_inc = IncrementalSums::new(&tree);
-        let mut flat_inc = FlatIncrementalSums::new(&flat);
-        let ids: Vec<_> = tree.node_ids().collect();
-        for (k, &id) in ids.iter().enumerate() {
-            let scaled = tree.section(id).scaled(1.0 + 0.07 * (k as f64 + 1.0));
-            *tree.section_mut(id) = scaled;
-            flat.set_section(id.index(), &scaled);
-            arena_inc.apply_edit(&tree, id);
-            flat_inc.apply_edit(&flat, id.index());
-            for probe in tree.node_ids() {
-                assert_eq!(
-                    flat_inc.rc(&flat, probe.index()),
-                    arena_inc.rc(&tree, probe),
-                    "T_RC probe {probe} after edit {k}"
-                );
-                assert_eq!(
-                    flat_inc.lc(&flat, probe.index()),
-                    arena_inc.lc(&tree, probe),
-                    "T_LC probe {probe} after edit {k}"
-                );
-                assert_eq!(
-                    flat_inc.rc_lc(&flat, probe.index()),
-                    arena_inc.rc_lc(&tree, probe),
-                );
-                assert_eq!(
-                    flat_inc.downstream_capacitance(probe.index()),
-                    arena_inc.downstream_capacitance(probe),
-                );
+    fn flat_incremental_matches_tree_sums_through_edits() {
+        for mut tree in [random(11, 60), two_roots()] {
+            let mut flat = FlatTree::from_tree(&tree);
+            let mut inc = FlatIncrementalSums::new(&flat);
+            let pristine = inc.clone();
+            let ids: Vec<_> = tree.node_ids().collect();
+            let originals: Vec<RlcSection> = ids.iter().map(|&id| *tree.section(id)).collect();
+            for (k, &id) in ids.iter().enumerate() {
+                let scaled = tree.section(id).scaled(1.0 + 0.07 * (k as f64 + 1.0));
+                *tree.section_mut(id) = scaled;
+                flat.set_section(id.index(), &scaled);
+                inc.apply_edit(&flat, id.index());
+                let full = tree_sums(&tree);
+                for probe in tree.node_ids() {
+                    let i = probe.index();
+                    assert_eq!(
+                        inc.rc(&flat, i),
+                        full.rc(probe),
+                        "T_RC {probe} after edit {k}"
+                    );
+                    assert_eq!(
+                        inc.lc(&flat, i),
+                        full.lc(probe),
+                        "T_LC {probe} after edit {k}"
+                    );
+                    assert_eq!(inc.rc_lc(&flat, i), (full.rc(probe), full.lc(probe)));
+                    assert_eq!(
+                        inc.downstream_capacitance(i),
+                        full.downstream_capacitance(probe)
+                    );
+                }
+                assert_eq!(inc.to_elmore_sums(&flat), full);
             }
-            assert_eq!(flat_inc.to_elmore_sums(&flat), tree_sums(&tree));
+            // Exact re-derivation (not delta accumulation) makes reverting
+            // every edit restore the pristine sums bit for bit.
+            for (&id, original) in ids.iter().zip(&originals).rev() {
+                flat.set_section(id.index(), original);
+                inc.apply_edit(&flat, id.index());
+            }
+            assert_eq!(inc, pristine);
         }
     }
 
@@ -545,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn rl_only_edit_early_exits_like_the_arena_layout() {
+    fn rl_only_edit_early_exits() {
         let (mut tree, nodes) = topology::fig5(s(2.0, 1.0, 3.0));
         let mut flat = FlatTree::from_tree(&tree);
         let mut inc = FlatIncrementalSums::new(&flat);

@@ -17,14 +17,10 @@
 //! re-times any placement with the paper's full RLC model, stage by
 //! stage. Comparing the two is exactly the workflow the paper proposes:
 //! optimize with a fast fidelity-preserving model, verify with a better
-//! one. [`PlacementTimer`] amortizes that re-timing across a buffer-size
-//! sweep — the stage decomposition is built once and only the
-//! size-dependent sections are edited per candidate, via
-//! [`rlc_engine::IncrementalAnalysis`] — powering
-//! [`optimal_buffer_size`].
+//! one. [`optimal_buffer_size`] sweeps the common buffer size of a fixed
+//! placement, re-timing every candidate size with [`evaluate`].
 
 use eed::TreeAnalysis;
-use rlc_engine::IncrementalAnalysis;
 use rlc_tree::{NodeId, RlcSection, RlcTree};
 use rlc_units::{Capacitance, Resistance, Time};
 
@@ -390,233 +386,6 @@ pub fn evaluate(
     worst
 }
 
-/// One stage of a [`PlacementTimer`]'s pre-built decomposition.
-#[derive(Debug)]
-struct StagePlan {
-    analysis: IncrementalAnalysis,
-    /// The driver section (stage-tree root); re-parameterized per size.
-    driver_node: NodeId,
-    /// `false` only for the source stage (whose driver R is fixed).
-    driver_is_buffer: bool,
-    /// Buffers hanging directly off the stage driver (each adds `c_in`).
-    buffered_at_driver: usize,
-    /// Stage nodes with buffered children: `(node, bare section, count)`;
-    /// re-parameterized per size with `count · c_in` of extra load.
-    loaded: Vec<(NodeId, RlcSection, usize)>,
-    /// Stage nodes that are leaves of the *original* tree.
-    sinks: Vec<NodeId>,
-    /// `(parent stage index, attach node in that stage)`; `None` for the
-    /// source stage. Parents always precede children in the stage list.
-    parent: Option<(usize, NodeId)>,
-}
-
-/// Re-times one buffer placement across many buffer sizes without
-/// rebuilding the stage decomposition.
-///
-/// [`evaluate`] rebuilds every stage tree and runs a from-scratch
-/// [`TreeAnalysis`] per call — fine for scoring one placement, wasteful
-/// inside a size search where only the buffer-dependent sections (the
-/// stage drivers and the `c_in` attachment loads) change between
-/// candidates. `PlacementTimer` builds the stage decomposition once and
-/// each [`delay_with_size`](Self::delay_with_size) call edits just those
-/// sections through [`IncrementalAnalysis`]. Debug builds cross-check
-/// every call against [`evaluate`]; the two are bit-identical.
-///
-/// # Examples
-///
-/// ```
-/// use rlc_opt::buffering::{evaluate, van_ginneken, PlacementTimer};
-/// use rlc_opt::repeater::Repeater;
-/// use rlc_tree::topology;
-/// use rlc_tree::RlcSection;
-/// use rlc_units::{Capacitance, Resistance};
-///
-/// let section = RlcSection::rc(
-///     Resistance::from_ohms(200.0),
-///     Capacitance::from_picofarads(0.4),
-/// );
-/// let (line, _) = topology::single_line(12, section);
-/// let driver = Resistance::from_ohms(300.0);
-/// let lib = Repeater::typical_cmos_250nm();
-/// let placement = van_ginneken(&line, driver, &lib, 20.0);
-///
-/// let mut timer = PlacementTimer::new(&line, &placement.buffers, driver, lib);
-/// assert_eq!(
-///     timer.delay_with_size(20.0),
-///     evaluate(&line, &placement.buffers, driver, &lib, 20.0),
-/// );
-/// ```
-#[derive(Debug)]
-pub struct PlacementTimer {
-    stages: Vec<StagePlan>,
-    tree: RlcTree,
-    buffers: Vec<NodeId>,
-    driver_resistance: Resistance,
-    lib: Repeater,
-}
-
-impl PlacementTimer {
-    /// Builds the stage decomposition for `buffers` on `tree` (same
-    /// convention as [`evaluate`]: a buffer sits at the top of its
-    /// section).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree is empty or any buffer id is out of range.
-    pub fn new(
-        tree: &RlcTree,
-        buffers: &[NodeId],
-        driver_resistance: Resistance,
-        lib: Repeater,
-    ) -> Self {
-        assert!(!tree.is_empty(), "cannot evaluate an empty tree");
-        let is_buf = buffer_flags(tree, buffers);
-
-        struct Job {
-            roots: Vec<NodeId>,
-            driver_is_roots_buffer: bool,
-            parent: Option<(usize, NodeId)>,
-        }
-        let mut stages: Vec<StagePlan> = Vec::new();
-        let mut queue = vec![Job {
-            roots: tree.roots().to_vec(),
-            driver_is_roots_buffer: false,
-            parent: None,
-        }];
-        while let Some(job) = queue.pop() {
-            let idx = stages.len();
-            // The expansion below must mirror `evaluate` exactly (same stack
-            // discipline, same arena order) so the stage sums — and therefore
-            // the delays — stay bit-identical to the from-scratch path.
-            let mut stage = RlcTree::new();
-            let expand_root = |r: &NodeId| job.driver_is_roots_buffer || !is_buf[r.index()];
-            let buffered_at_driver: Vec<NodeId> = job
-                .roots
-                .iter()
-                .copied()
-                .filter(|r| !expand_root(r))
-                .collect();
-            // Placeholder section; every `delay_with_size` call overwrites it.
-            let driver_node = stage.add_root_section(RlcSection::zero());
-
-            let mut loaded = Vec::new();
-            let mut sinks = Vec::new();
-            let mut stack: Vec<(NodeId, NodeId)> = job
-                .roots
-                .iter()
-                .filter(|r| expand_root(r))
-                .map(|&r| (r, driver_node))
-                .collect();
-            while let Some((orig, parent)) = stack.pop() {
-                let buffered_children = tree
-                    .children(orig)
-                    .iter()
-                    .filter(|c| is_buf[c.index()])
-                    .count();
-                let new_id = stage.add_section(parent, *tree.section(orig));
-                if buffered_children > 0 {
-                    loaded.push((new_id, *tree.section(orig), buffered_children));
-                }
-                if tree.is_leaf(orig) {
-                    sinks.push(new_id);
-                }
-                for &child in tree.children(orig) {
-                    if is_buf[child.index()] {
-                        queue.push(Job {
-                            roots: vec![child],
-                            driver_is_roots_buffer: true,
-                            parent: Some((idx, new_id)),
-                        });
-                    } else {
-                        stack.push((child, new_id));
-                    }
-                }
-            }
-            for &b in &buffered_at_driver {
-                queue.push(Job {
-                    roots: vec![b],
-                    driver_is_roots_buffer: true,
-                    parent: Some((idx, driver_node)),
-                });
-            }
-            stages.push(StagePlan {
-                analysis: IncrementalAnalysis::new(stage),
-                driver_node,
-                driver_is_buffer: job.parent.is_some(),
-                buffered_at_driver: buffered_at_driver.len(),
-                loaded,
-                sinks,
-                parent: job.parent,
-            });
-        }
-        Self {
-            stages,
-            tree: tree.clone(),
-            buffers: buffers.to_vec(),
-            driver_resistance,
-            lib,
-        }
-    }
-
-    /// The worst source→sink 50% delay with all buffers at `size`, via
-    /// incremental edits of the pre-built stages. Bit-identical to
-    /// `evaluate(tree, buffers, driver_resistance, lib, size)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is not positive.
-    pub fn delay_with_size(&mut self, size: f64) -> Time {
-        assert!(size > 0.0, "buffer size must be positive");
-        let r_buf = self.lib.resistance / size;
-        let c_in = self.lib.input_capacitance * size;
-        let c_out = self.lib.output_capacitance * size;
-
-        for stage in &mut self.stages {
-            let (driver_r, driver_c) = if stage.driver_is_buffer {
-                (r_buf, c_out)
-            } else {
-                (self.driver_resistance, Capacitance::ZERO)
-            };
-            let driver_section =
-                RlcSection::rc(driver_r, driver_c + c_in * stage.buffered_at_driver as f64);
-            stage
-                .analysis
-                .set_section(stage.driver_node, driver_section);
-            for &(node, base, count) in &stage.loaded {
-                stage
-                    .analysis
-                    .set_section(node, base.with_added_capacitance(c_in * count as f64));
-            }
-            stage.analysis.commit();
-        }
-
-        let mut arrivals = vec![Time::ZERO; self.stages.len()];
-        let mut worst = Time::ZERO;
-        for idx in 0..self.stages.len() {
-            let arrival = match self.stages[idx].parent {
-                None => Time::ZERO,
-                Some((p, attach)) => arrivals[p] + self.stages[p].analysis.delay_50(attach),
-            };
-            arrivals[idx] = arrival;
-            for &sink in &self.stages[idx].sinks {
-                worst = worst.max(arrival + self.stages[idx].analysis.delay_50(sink));
-            }
-        }
-        debug_assert_eq!(
-            worst,
-            evaluate(
-                &self.tree,
-                &self.buffers,
-                self.driver_resistance,
-                &self.lib,
-                size
-            ),
-            "incremental placement re-timing diverged from the from-scratch path at size = {size}"
-        );
-        worst
-    }
-}
-
 /// A buffer-size optimization result.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizedBuffering {
@@ -627,8 +396,8 @@ pub struct SizedBuffering {
 }
 
 /// Finds the buffer size in `[min_size, max_size]` minimizing the worst
-/// RLC 50% delay of a fixed placement, by golden-section search over a
-/// [`PlacementTimer`].
+/// RLC 50% delay of a fixed placement, by golden-section search over
+/// [`evaluate`].
 ///
 /// Larger buffers drive harder (R/size) but load their upstream stage
 /// more (C·size), so the placement's delay has an interior optimum in the
@@ -651,8 +420,7 @@ pub fn optimal_buffer_size(
         min_size > 0.0 && max_size > min_size,
         "size bounds must satisfy 0 < min < max, got [{min_size}, {max_size}]"
     );
-    let mut timer = PlacementTimer::new(tree, buffers, driver_resistance, *lib);
-    let f = |s: f64| timer.delay_with_size(s).as_seconds();
+    let f = |s: f64| evaluate(tree, buffers, driver_resistance, lib, s).as_seconds();
     let (size, delay) = golden_min(min_size, max_size, f);
     SizedBuffering {
         size,
@@ -841,40 +609,6 @@ mod tests {
             sol.buffers.contains(&side),
             "the side load should be buffered, got {:?}",
             sol.buffers
-        );
-    }
-
-    #[test]
-    fn placement_timer_matches_evaluate_across_sizes() {
-        // Branching RLC net so the decomposition has buffered children,
-        // driver-attached buffers and multi-sink stages.
-        let sec = RlcSection::new(
-            Resistance::from_ohms(300.0),
-            Inductance::from_nanohenries(0.4),
-            Capacitance::from_picofarads(0.3),
-        );
-        let (tree, _) = topology::fig5(sec);
-        let driver = Resistance::from_ohms(400.0);
-        let sol = van_ginneken(&tree, driver, &lib(), 15.0);
-        assert!(!sol.buffers.is_empty(), "placement should use buffers");
-        let mut timer = PlacementTimer::new(&tree, &sol.buffers, driver, lib());
-        for size in [2.0, 7.5, 15.0, 40.0, 15.0] {
-            assert_eq!(
-                timer.delay_with_size(size),
-                evaluate(&tree, &sol.buffers, driver, &lib(), size),
-                "size {size}"
-            );
-        }
-    }
-
-    #[test]
-    fn placement_timer_handles_unbuffered_nets() {
-        let (line, _) = topology::single_line(5, rc_section(120.0, 0.2));
-        let driver = Resistance::from_ohms(250.0);
-        let mut timer = PlacementTimer::new(&line, &[], driver, lib());
-        assert_eq!(
-            timer.delay_with_size(10.0),
-            evaluate(&line, &[], driver, &lib(), 10.0)
         );
     }
 

@@ -6,14 +6,10 @@
 //! derivative-free 1-D search on it converges without any simulation in
 //! the loop — the property Section I advertises for synthesis.
 //!
-//! The search evaluates candidates through
-//! [`rlc_engine::IncrementalAnalysis`]: the section chain is built once
-//! and each width probe re-parameterizes it in place (no allocation, no
-//! tree rebuild). Debug builds cross-check every probe against the
-//! from-scratch [`sized_delay`] path; the two are bit-identical.
+//! Every width probe rewrites every section of the chain, so each probe
+//! simply re-times it from scratch with [`sized_delay`].
 
 use eed::TreeAnalysis;
-use rlc_engine::IncrementalAnalysis;
 use rlc_tree::wire::WireModel;
 use rlc_tree::RlcTree;
 use rlc_units::{Capacitance, Time};
@@ -67,37 +63,8 @@ pub fn optimal_width(
         min_width > 0.0 && max_width > min_width,
         "width bounds must satisfy 0 < min < max, got [{min_width}, {max_width}]"
     );
-    let segments = 8;
-    // Build the chain once (at the lower width bound — any width works,
-    // every probe overwrites all sections) and re-parameterize it in place
-    // for each candidate, instead of rebuilding a tree per evaluation.
-    let seg_len = length_um / segments as f64;
-    let mut tree = RlcTree::new();
-    let sink = wire
-        .widened(min_width)
-        .route(&mut tree, None, length_um, segments);
-    let chain = tree.path_from_root(sink);
-    let mut probe = IncrementalAnalysis::new(tree);
-    let mut f = |w: f64| {
-        let per = wire.widened(w).section(seg_len);
-        for &node in &chain {
-            let section = if node == sink {
-                per.with_added_capacitance(load)
-            } else {
-                per
-            };
-            probe.set_section(node, section);
-        }
-        probe.commit();
-        let delay = probe.delay_50(sink);
-        debug_assert_eq!(
-            delay,
-            sized_delay(wire, w, length_um, load, segments),
-            "incremental width probe diverged from the from-scratch path at w = {w}"
-        );
-        delay.as_seconds()
-    };
-    let (width, delay) = golden_min(min_width, max_width, &mut f);
+    let f = |w: f64| sized_delay(wire, w, length_um, load, 8).as_seconds();
+    let (width, delay) = golden_min(min_width, max_width, f);
     SizedWire {
         width,
         delay: Time::from_seconds(delay),

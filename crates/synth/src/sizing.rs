@@ -6,14 +6,15 @@
 //! `C·w`, inductance is width-insensitive to first order, and buffer
 //! input loads do not scale. The factor is found with the same
 //! golden-section kernel as `rlc-opt`'s width search
-//! ([`rlc_numeric::minimize::golden_min`]), and each probe is evaluated
-//! through [`rlc_moments::IncrementalSums`] — a per-section O(depth)
-//! re-derivation instead of a full O(n) stage re-analysis, the probe
-//! primitive whose ≥5× advantage the `synth_throughput` bench guards.
+//! ([`rlc_numeric::minimize::golden_min`]). A probe rewrites every
+//! section of every buffered stage, so each probe re-sums those stages
+//! from scratch with [`rlc_moments::flat_sums_into`] on resident
+//! [`FlatTree`] copies — one O(n) sweep per stage, cheaper than one
+//! O(depth) incremental edit per rewritten section.
 
-use rlc_moments::IncrementalSums;
+use rlc_moments::{flat_sums, flat_sums_into, ElmoreSums};
 use rlc_numeric::minimize::golden_min;
-use rlc_tree::{NodeId, RlcTree};
+use rlc_tree::{FlatTree, NodeId, RlcTree};
 
 use crate::dp::delay_50;
 use crate::stage::{evaluate, Stage};
@@ -48,27 +49,25 @@ pub(crate) fn size_width(
         .filter(|(_, s)| s.driver_site.is_some())
         .map(|(k, _)| k)
         .collect();
-    let mut sums: Vec<IncrementalSums> = stages
+    let mut flats: Vec<FlatTree> = stages
         .iter()
-        .map(|s| IncrementalSums::new(&s.tree))
+        .map(|s| FlatTree::from_tree(&s.tree))
         .collect();
+    let mut sums: Vec<ElmoreSums> = flats.iter().map(flat_sums).collect();
 
     let mut probe = |w: f64| -> f64 {
         for &k in &buffered {
             stages[k].set_width(w);
-            // One incremental edit per rewritten section: O(depth) each,
-            // never a from-scratch O(n) pass over the stage.
-            for idx in 0..stages[k].tree.len() {
-                let node = NodeId::from_index(idx);
-                if node != stages[k].root {
-                    sums[k].apply_edit(&stages[k].tree, node);
-                }
+            for node in stages[k].tree.node_ids() {
+                flats[k].set_section(node.index(), stages[k].tree.section(node));
             }
+            flat_sums_into(&flats[k], &mut sums[k]);
         }
-        let frozen: &[Stage] = stages;
-        evaluate(tree, frozen, buffer, extra, |k, node| {
-            let (rc, lc) = sums[k].rc_lc(&frozen[k].tree, node);
-            delay_50(rc.as_seconds(), lc.as_seconds_squared())
+        evaluate(tree, stages, buffer, extra, |k, node| {
+            delay_50(
+                sums[k].rc(node).as_seconds(),
+                sums[k].lc(node).as_seconds_squared(),
+            )
         })
         .critical
         .1
@@ -115,7 +114,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_probe_matches_full_reanalysis() {
+    fn probed_delay_matches_model_evaluation() {
         let (tree, sink) = topology::single_line(6, section(400.0, 1.0, 0.8));
         let b = BufferSpec {
             resistance: 100.0,
@@ -125,9 +124,9 @@ mod tests {
         let mid = tree.path_from_root(sink)[2];
         let mut stages = decompose(&tree, 120.0, &b, &[mid]);
         let out = size_width(&tree, &mut stages, &b, &[], 0.5, 4.0);
-        // Stages are left at `out.width`; a from-scratch evaluation of the
-        // same trees must reproduce the probed delay exactly (IncrementalSums
-        // is bit-identical to tree_sums at every edit point).
+        // Stages are left at `out.width`; the model evaluator's own sums
+        // of the same trees must reproduce the probed delay exactly (the
+        // flat kernel is bit-identical to tree_sums).
         let full = evaluate_model(&tree, &stages, &b, &[]);
         assert_eq!(full.critical.1, out.delay);
     }
