@@ -1,6 +1,6 @@
 //! Pole/residue reduced-order models and their construction from moments.
 
-use rlc_numeric::{linalg, linalg::Matrix, poly, Complex64, Polynomial};
+use rlc_numeric::{linalg::Matrix, poly, Complex64, Polynomial};
 use rlc_tree::{NodeId, RlcTree};
 use rlc_units::Time;
 
@@ -316,11 +316,6 @@ pub fn two_pole_at_node(tree: &RlcTree, i: NodeId) -> Result<ReducedOrderModel, 
     ReducedOrderModel::two_pole(m[1], m[2])
 }
 
-// Bring `solve_complex` users into scope without an unused import warning
-// when the residue path changes.
-#[allow(unused_imports)]
-use linalg::solve_complex as _;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,7 +354,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // convolution over moment indices
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "convolution over moment indices"
+    )]
     fn pade_q2_recovers_two_pole_system_exactly() {
         // H = 1/((1+s)(1+s/4)): poles −1, −4.
         // Moments: H = Σ m_k s^k; m1 = −(1 + 1/4) = −1.25,

@@ -7,6 +7,8 @@
 //! victims) plus the noise bounds. As with `batch_throughput`, the report
 //! bytes are identical at every worker count; only wall-clock changes.
 
+#![allow(clippy::expect_used, reason = "a bench aborts on a broken invariant")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rlc_couple::analyze_group;
 use rlc_engine::{CoupleBatch, Engine};

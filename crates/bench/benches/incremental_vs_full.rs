@@ -16,6 +16,8 @@
 //! `tree_sums`, and the packed `flat_sums_into` hot path used by
 //! `rlc-engine::Batch` (with and without the per-net snapshot rebuild).
 
+#![allow(clippy::expect_used, reason = "a bench aborts on a broken invariant")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rlc_bench::section;
 use rlc_engine::IncrementalAnalysis;
@@ -168,7 +170,7 @@ fn bench_tree_sums_flat(c: &mut Criterion) {
 /// scheduler hiccup cannot flake the build; runs (and asserts) under both
 /// `cargo bench` and the CI smoke's `-- --test` mode.
 fn speedup_guard(_c: &mut Criterion) {
-    use std::time::Instant;
+    use rlc_obs::TimeSource;
 
     const ITERS: u32 = 256;
     const ROUNDS: usize = 5;
@@ -186,7 +188,7 @@ fn speedup_guard(_c: &mut Criterion) {
     let mut ratios = Vec::with_capacity(ROUNDS);
 
     for _ in 0..ROUNDS {
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         for _ in 0..ITERS {
             flip = !flip;
             *full_tree.section_mut(sink) = if flip { alt } else { base };
@@ -196,7 +198,7 @@ fn speedup_guard(_c: &mut Criterion) {
         }
         let full_ns = t0.elapsed().as_nanos().max(1);
 
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         for _ in 0..ITERS {
             flip = !flip;
             probe.set_section(sink, if flip { alt } else { base });
@@ -230,7 +232,7 @@ fn speedup_guard(_c: &mut Criterion) {
 /// flat path carries span/counter instrumentation that the preserved
 /// legacy walker predates.
 fn kernel_guard(_c: &mut Criterion) {
-    use std::time::Instant;
+    use rlc_obs::TimeSource;
 
     const ITERS: u32 = 512;
     const ROUNDS: usize = 7;
@@ -242,14 +244,14 @@ fn kernel_guard(_c: &mut Criterion) {
     let mut ratios = Vec::with_capacity(ROUNDS);
 
     for _ in 0..ROUNDS {
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         for _ in 0..ITERS {
             let walker = rlc_moments::reference::tree_sums_arena(std::hint::black_box(&tree));
             std::hint::black_box(walker.rc(sink));
         }
         let walker_ns = t0.elapsed().as_nanos().max(1);
 
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         for _ in 0..ITERS {
             rlc_moments::flat_sums_into(std::hint::black_box(&flat), &mut sums);
             std::hint::black_box(sums.rc_at(sink.index()));

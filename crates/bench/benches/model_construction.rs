@@ -3,6 +3,8 @@
 //! two-pole (needs exact moments), and AWE q=4 (needs 8 moments plus pole
 //! extraction).
 
+#![allow(clippy::expect_used, reason = "a bench aborts on a broken invariant")]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use eed::SecondOrderModel;
 use rlc_awe::{awe_at_node, two_pole_at_node, ReducedOrderModel};

@@ -17,10 +17,10 @@
 //! only for this comparison) and asserts the always-on instrumentation
 //! costs at most 5% of cold-path wall time (DESIGN.md §13's budget).
 
-use std::time::Instant;
+#![allow(clippy::expect_used, reason = "a bench aborts on a broken invariant")]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rlc_obs::json;
+use rlc_obs::{json, TimeSource};
 use rlc_serve::{AnalyzeRequest, CacheConfig, ServeConfig, ServeCore, TelemetryConfig};
 
 /// Requests per measured iteration.
@@ -65,6 +65,7 @@ fn metrics(core: &ServeCore) -> json::Value {
 }
 
 /// An integer field at `path` inside the snapshot.
+#[expect(clippy::panic, reason = "a missing metric fails the cross-check")]
 fn metric_u64(snapshot: &json::Value, path: &[&str]) -> u64 {
     let mut value = snapshot;
     for key in path {
@@ -184,7 +185,7 @@ fn overhead_guard(mut seed: usize) {
                 deck(seed)
             })
             .collect();
-        let start = Instant::now();
+        let start = TimeSource::Wall.now();
         for deck in decks {
             std::hint::black_box(core.analyze(AnalyzeRequest::new("guard", deck)));
         }

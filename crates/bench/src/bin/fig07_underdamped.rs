@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig07_underdamped --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::SecondOrderModel;
 use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
 use rlc_units::{AngularFrequency, Time};

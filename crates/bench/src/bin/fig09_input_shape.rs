@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig09_input_shape --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
 use rlc_sim::{simulate, SimOptions, Source};

@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig10_ladder --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{conclude, section, BenchError, FigureCsv, ShapeChecks};
 use rlc_moments::transfer_moments;

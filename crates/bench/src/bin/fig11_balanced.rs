@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig11_balanced --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_awe::ReducedOrderModel;
 use rlc_bench::{

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig13_branching --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{
     conclude, delay_error, retune_zeta, section, sim_step_waveform, waveform_error, BenchError,

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig14_depth --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{
     conclude, delay_error, section, sim_step_waveform, waveform_error, BenchError, FigureCsv,

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig15_node_position --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{
     conclude, retune_zeta, section, waveform_error, BenchError, FigureCsv, ShapeChecks,

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig16_large_tree --release`
 
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
+
 use eed::TreeAnalysis;
 use rlc_bench::{
     conclude, retune_zeta, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks,

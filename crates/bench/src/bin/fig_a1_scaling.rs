@@ -8,16 +8,15 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a1_scaling --release`
 
-use std::time::Instant;
-
 use eed::TreeAnalysis;
 use rlc_bench::{conclude, section, BenchError, FigureCsv, ShapeChecks};
+use rlc_obs::TimeSource;
 use rlc_tree::topology;
 
 fn time_analysis(tree: &rlc_tree::RlcTree, reps: usize) -> f64 {
     // Warm up, then time.
     let _ = TreeAnalysis::new(tree);
-    let start = Instant::now();
+    let start = TimeSource::Wall.now();
     for _ in 0..reps {
         let analysis = TreeAnalysis::new(tree);
         std::hint::black_box(analysis.len());

@@ -9,11 +9,12 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a4_model_shootout --release`
 
-use std::time::Instant;
+#![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::TreeAnalysis;
 use rlc_awe::{awe_at_node, two_pole_at_node, ReducedOrderModel};
 use rlc_bench::{conclude, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks};
+use rlc_obs::TimeSource;
 use rlc_tree::{topology, NodeId, RlcTree};
 use rlc_units::Time;
 
@@ -127,12 +128,12 @@ fn main() -> Result<(), BenchError> {
 
     // Cost comparison: model construction at ALL sinks of a large tree.
     let big = topology::balanced_tree(12, 2, section(25.0, 3.0, 0.4));
-    let start = Instant::now();
+    let start = TimeSource::Wall.now();
     let analysis = TreeAnalysis::new(&big);
     std::hint::black_box(analysis.len());
     let eed_cost = start.elapsed();
     let sink = big.leaves().next().expect("sinks");
-    let start = Instant::now();
+    let start = TimeSource::Wall.now();
     let _ = std::hint::black_box(awe_at_node(&big, sink, 4));
     let awe_cost = start.elapsed();
     println!(

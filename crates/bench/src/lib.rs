@@ -13,6 +13,8 @@
 //! `target/figures/<fig>.metrics.json` instrumentation report next to each
 //! CSV (see the "Observability" section of `DESIGN.md`).
 
+#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
+
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};

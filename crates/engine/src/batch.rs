@@ -462,6 +462,10 @@ impl Engine {
 
     /// [`run`](Self::run), additionally recording per-net execution time
     /// and queue depth into `telemetry` when a sink is supplied.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders"
+    )]
     pub fn run_with_telemetry(
         &self,
         batch: &Batch,
@@ -487,7 +491,6 @@ impl Engine {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 scope.spawn(move || {
-                    // audit:allow(A102, reason="worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders")
                     let worker_start = Instant::now();
                     let mut scratch = NetScratch::default();
                     let mut busy_ns = 0u128;
@@ -501,7 +504,6 @@ impl Engine {
                         if let Some(sink) = telemetry {
                             sink.depth.record((n - i - 1) as u64);
                         }
-                        // audit:allow(A102, reason="worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders")
                         let t0 = Instant::now();
                         let (name, source) = &jobs[i];
                         let result = analyze_one(name, source, TimingModel::Eed, &mut scratch);
@@ -576,6 +578,10 @@ pub(crate) fn analyze_one(
     })
 }
 
+#[expect(
+    clippy::panic,
+    reason = "deliberate fault-injection arm: the isolation tests assert a worker panic becomes a typed per-net error without poisoning the batch"
+)]
 fn analyze_unprotected(
     name: &str,
     source: &NetSource,
@@ -597,7 +603,6 @@ fn analyze_unprotected(
             parsed = parse_deck(name, &deck)?;
             &parsed
         }
-        // audit:allow(A401, reason="deliberate fault-injection arm: the isolation tests assert a worker panic becomes a typed per-net error without poisoning the batch")
         NetSource::Panic(message) => panic!("{}", message),
     };
     if tree.is_empty() {

@@ -173,6 +173,10 @@ impl Engine {
     /// [`run_couple`](Self::run_couple), additionally recording per-group
     /// execution time and queue depth into `telemetry` when a sink is
     /// supplied.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders"
+    )]
     pub fn run_couple_with_telemetry(
         &self,
         batch: &CoupleBatch,
@@ -209,7 +213,6 @@ impl Engine {
                         if let Some(sink) = telemetry {
                             sink.record_depth((n - i - 1) as u64);
                         }
-                        // audit:allow(A102, reason="worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders")
                         let t0 = Instant::now();
                         let (name, source) = &jobs[i];
                         let result = analyze_one_couple(name, source, &mut scratch);

@@ -224,9 +224,12 @@ impl IncrementalAnalysis {
     /// # Panics
     ///
     /// Panics if `node` is out of range or has no dynamics.
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract; try_model is the fallible twin for callers that cannot rule out zero-dynamics nodes"
+    )]
     pub fn model(&self, node: NodeId) -> SecondOrderModel {
         self.try_model(node)
-            // audit:allow(A401, reason="documented # Panics contract; try_model is the fallible twin for callers that cannot rule out zero-dynamics nodes")
             .unwrap_or_else(|| panic!("node {node} has no dynamics (zero T_RC and T_LC)"))
     }
 

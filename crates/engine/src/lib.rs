@@ -69,6 +69,8 @@
 //! assert!(report.nets[1].is_err()); // isolated, order preserved
 //! ```
 
+#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
+
 //!
 //! Run a long-lived service with bounded admission and graceful drain:
 //!

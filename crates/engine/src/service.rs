@@ -962,7 +962,8 @@ mod tests {
         });
         let ticket = service
             .submit_spec(
-                JobSpec::deck("stale", DECK).deadline(Instant::now() - Duration::from_millis(1)),
+                JobSpec::deck("stale", DECK)
+                    .deadline(TimeSource::Wall.now() - Duration::from_millis(1)),
             )
             .expect("admitted");
         assert!(matches!(
@@ -1054,7 +1055,7 @@ mod tests {
         let stale = service
             .submit_couple_spec(
                 CoupleSpec::deck("stale", ".net v\nR1 in n1 25\nC1 n1 0 0.5p\n")
-                    .deadline(Instant::now() - Duration::from_millis(1)),
+                    .deadline(TimeSource::Wall.now() - Duration::from_millis(1)),
             )
             .expect("admitted");
         assert!(matches!(
@@ -1112,7 +1113,7 @@ mod tests {
                     "R1 in n1 25\nC1 n1 0 0.5p\n.lib b r=100 cin=4f tin=1p\n",
                 )
                 .config(SynthConfig::default())
-                .deadline(Instant::now() - Duration::from_millis(1)),
+                .deadline(TimeSource::Wall.now() - Duration::from_millis(1)),
             )
             .expect("admitted");
         assert!(matches!(

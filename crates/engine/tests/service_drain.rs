@@ -10,9 +10,10 @@
 //! Held jobs (see [`JobSpec::hold`]) pin workers deterministically, so
 //! none of these tests race the real analysis speed.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rlc_engine::{EngineError, EngineService, JobSpec, ServiceConfig};
+use rlc_obs::TimeSource;
 
 const DECK: &str = "R1 in n1 25\nC1 n1 0 0.5p\nR2 n1 n2 25\nC2 n2 0 0.5p\n";
 
@@ -99,7 +100,7 @@ fn drain_completes_accepted_work_and_rejects_late_submissions() {
     assert!(matches!(err, EngineError::ShuttingDown { .. }), "{err}");
     assert_eq!(err.net(), "late");
 
-    let drain_started = Instant::now();
+    let drain_started = TimeSource::Wall.now();
     service.drain();
     // Both queued jobs ran after their predecessors' holds, so a full
     // drain cannot return before the second wave of holds elapsed.

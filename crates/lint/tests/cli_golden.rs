@@ -5,10 +5,7 @@
 //! re-asserts the same bytes from the repository root on both feature
 //! configurations.
 
-// Test-support helpers sit outside `#[test]` fns, so the workspace
-// unwrap/expect deny (scoped to library code via clippy.toml) needs an
-// explicit test-file opt-out here.
-#![allow(clippy::expect_used)]
+#![allow(clippy::expect_used, reason = "test helpers abort on failure")]
 
 use std::process::{Command, Output};
 

@@ -264,7 +264,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // k is the moment order, not just an index
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "k is the moment order, not just an index"
+    )]
     fn moments_alternate_sign_for_rc_trees() {
         // For RC trees all poles are real negative → moments alternate in
         // sign (m_k ~ (−1)^k positive magnitude).

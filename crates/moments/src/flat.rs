@@ -35,6 +35,10 @@ use crate::ElmoreSums;
 /// `out` is fully overwritten (and resized) — stale contents are never
 /// read, so callers can reuse one [`ElmoreSums`] across nets to keep the
 /// hot loop allocation-free.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the two sweeps skip bounds checks behind the debug_assert! precondition at the top of the kernel (DESIGN.md §15 packed-kernel index invariants)"
+)]
 fn sums_into_arrays(
     parent: &[u32],
     res: &[Resistance],

@@ -189,7 +189,10 @@ impl MulAssign for Complex64 {
 impl Div for Complex64 {
     type Output = Self;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z/w = z·w⁻¹ by definition
+    #[allow(
+        clippy::suspicious_arithmetic_impl,
+        reason = "z/w = z·w⁻¹ by definition"
+    )]
     fn div(self, rhs: Self) -> Self {
         self * rhs.recip()
     }

@@ -329,7 +329,10 @@ impl LuDecomposition {
     ///
     /// Returns [`NumericError::DimensionMismatch`] if `b` has the wrong
     /// length.
-    #[allow(clippy::needless_range_loop)] // index loops read best in triangular solves
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "index loops read best in triangular solves"
+    )]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
         let n = self.n;
         if b.len() != n {
@@ -400,7 +403,10 @@ impl core::ops::IndexMut<(usize, usize)> for Matrix {
 /// assert!((x[0] - one).norm() < 1e-12 && (x[1] - one).norm() < 1e-12);
 /// # Ok::<(), rlc_numeric::NumericError>(())
 /// ```
-#[allow(clippy::needless_range_loop)] // index loops read best in elimination kernels
+#[allow(
+    clippy::needless_range_loop,
+    reason = "index loops read best in elimination kernels"
+)]
 pub fn solve_complex(
     a: &[Vec<Complex64>],
     b: &[Complex64],

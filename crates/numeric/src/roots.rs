@@ -186,7 +186,10 @@ pub fn brent<F: FnMut(f64) -> f64>(
 /// assert!((root - 5f64.cbrt()).abs() < 1e-12);
 /// # Ok::<(), rlc_numeric::NumericError>(())
 /// ```
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the bracket, tolerances and iteration cap are all independent knobs"
+)]
 pub fn newton_bracketed<F, D>(
     mut f: F,
     mut df: D,

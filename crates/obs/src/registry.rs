@@ -84,6 +84,10 @@ pub struct Span {
     start: Instant,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span guards profile real wall time by design; spans render only in the obs-gated snapshot, never in canonical reports"
+)]
 pub(crate) fn span_enter(name: &'static str) -> Span {
     let (path, depth) = SPAN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
@@ -101,7 +105,6 @@ pub(crate) fn span_enter(name: &'static str) -> Span {
     Span {
         path,
         depth,
-        // audit:allow(A102, reason="span guards profile real wall time by design; spans render only in the obs-gated snapshot, never in canonical reports")
         start: Instant::now(),
     }
 }

@@ -261,12 +261,16 @@ impl TimeSource {
 
     /// Reads the clock. This is the workspace's clock-read choke point:
     /// library paths obtain `Instant`s here (and only here), so every
-    /// wall-clock dependency is greppable and auditable — the `rlc-audit`
-    /// A102 rule flags any other library-path clock read. Both variants
-    /// read the real clock; `Logical` applies its quantum at measurement
-    /// time via [`measured_ns`](Self::measured_ns), not at read time.
+    /// wall-clock dependency is greppable and auditable — clippy's
+    /// `disallowed_methods` (rule A102) flags any other clock read. Both
+    /// variants read the real clock; `Logical` applies its quantum at
+    /// measurement time via [`measured_ns`](Self::measured_ns), not at
+    /// read time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "TimeSource::now is the clock abstraction home; every other library clock read routes through it"
+    )]
     pub fn now(self) -> Instant {
-        // audit:allow(A102, reason="TimeSource::now is the clock abstraction home; every other library clock read routes through it")
         Instant::now()
     }
 }
@@ -290,11 +294,14 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// Opens a trace for request `request_id` handling `verb`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace contexts capture raw wall time by design; sinks quantize via TimeSource::measured_ns before anything renders"
+    )]
     pub fn new(request_id: u64, verb: &'static str) -> Self {
         Self {
             request_id,
             verb,
-            // audit:allow(A102, reason="trace contexts capture raw wall time by design; sinks quantize via TimeSource::measured_ns before anything renders")
             started: Instant::now(),
             stages: Vec::with_capacity(8),
         }
@@ -311,8 +318,11 @@ impl TraceContext {
     }
 
     /// Runs `f`, recording its raw wall duration under `stage`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "trace contexts capture raw wall time by design; sinks quantize via TimeSource::measured_ns before anything renders"
+    )]
     pub fn time<R>(&mut self, stage: &'static str, f: impl FnOnce() -> R) -> R {
-        // audit:allow(A102, reason="trace contexts capture raw wall time by design; sinks quantize via TimeSource::measured_ns before anything renders")
         let start = Instant::now();
         let result = f();
         self.add_stage(stage, elapsed_ns(start));

@@ -42,6 +42,8 @@
 //! # let _ = window;
 //! ```
 
+#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
+
 pub mod buffering;
 pub mod fom;
 pub mod repeater;

@@ -22,7 +22,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rlc_obs::TimeSource;
 use rlc_serve::{
@@ -216,9 +216,9 @@ fn expect(condition: bool, message: impl FnOnce() -> String) -> Result<(), Strin
 }
 
 fn wait_until(what: &str, mut condition: impl FnMut() -> bool) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = TimeSource::Wall.now() + Duration::from_secs(10);
     while !condition() {
-        if Instant::now() > deadline {
+        if TimeSource::Wall.now() > deadline {
             return Err(format!("smoke failed: timed out waiting for {what}"));
         }
         std::thread::sleep(Duration::from_millis(2));

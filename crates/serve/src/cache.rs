@@ -15,7 +15,11 @@
 //! zero disables the cache entirely (every lookup is a miss, inserts are
 //! dropped).
 
-// audit:allow(A101, reason="cache is addressed by fnv1a hash by design; eviction tie-breaks on (last_used, hash) so iteration order never reaches any output")
+#![expect(
+    clippy::disallowed_types,
+    reason = "cache is addressed by fnv1a hash by design; eviction tie-breaks on (last_used, hash) so iteration order never reaches any output"
+)]
+
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -219,6 +223,7 @@ impl<T: Clone> ResultCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlc_obs::TimeSource;
 
     fn timing(name: &str) -> NetTiming {
         NetTiming {
@@ -243,7 +248,7 @@ mod tests {
     #[test]
     fn hit_after_insert_and_counted_miss_before() {
         let mut cache = ResultCache::new(config(4, None));
-        let now = Instant::now();
+        let now = TimeSource::Wall.now();
         assert!(cache.get("k", now).is_none());
         cache.insert("k".into(), timing("a"), now);
         let hit = cache.get("k", now).expect("inserted key hits");
@@ -263,7 +268,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut cache = ResultCache::new(config(2, None));
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         let t1 = t0 + Duration::from_millis(1);
         let t2 = t0 + Duration::from_millis(2);
         let t3 = t0 + Duration::from_millis(3);
@@ -281,7 +286,7 @@ mod tests {
     #[test]
     fn ttl_expires_on_lookup() {
         let mut cache = ResultCache::new(config(4, Some(Duration::from_millis(10))));
-        let t0 = Instant::now();
+        let t0 = TimeSource::Wall.now();
         cache.insert("k".into(), timing("a"), t0);
         assert!(cache.get("k", t0 + Duration::from_millis(10)).is_some());
         assert!(cache.get("k", t0 + Duration::from_millis(11)).is_none());
@@ -293,7 +298,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_the_cache() {
         let mut cache = ResultCache::new(config(0, None));
-        let now = Instant::now();
+        let now = TimeSource::Wall.now();
         cache.insert("k".into(), timing("a"), now);
         assert!(cache.get("k", now).is_none());
         assert!(cache.is_empty());

@@ -24,10 +24,12 @@
 //! * The final `stats` line never mentions the worker count, so shutdown
 //!   reports from differently sized pools are byte-comparable.
 
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use rlc_couple::GroupTiming;
@@ -814,9 +816,10 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     stopping: Arc<AtomicBool>,
-    /// Read-half clones of every accepted connection, so shutdown can
-    /// deliver EOF to peers parked in `read_request`.
-    peers: Mutex<Vec<TcpStream>>,
+    /// Read-half clones of the open connections, keyed by connection id,
+    /// so shutdown can deliver EOF to peers parked in `read_request`. Each
+    /// connection removes its own entry when its session ends.
+    peers: Arc<Mutex<BTreeMap<u64, TcpStream>>>,
 }
 
 impl Server {
@@ -834,7 +837,7 @@ impl Server {
             listener,
             addr,
             stopping: Arc::new(AtomicBool::new(false)),
-            peers: Mutex::new(Vec::new()),
+            peers: Arc::new(Mutex::new(BTreeMap::new())),
         })
     }
 
@@ -865,25 +868,37 @@ impl Server {
     /// Propagates accept-loop I/O failures; per-connection I/O errors
     /// only end their own connection.
     pub fn run(self) -> io::Result<String> {
-        let mut connections = Vec::new();
-        loop {
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        for id in 0u64.. {
             let (stream, _) = self.listener.accept()?;
             if self.stopping.load(Ordering::SeqCst) {
                 // The wake-up connection from the shutdown handler (or a
                 // late client); stop accepting.
                 break;
             }
+            // Reap the threads of sessions that have ended, so a
+            // long-running daemon holds only its open connections.
+            let (ended, open) = connections.into_iter().partition(JoinHandle::is_finished);
+            connections = open;
+            for connection in ended {
+                let _ = connection.join();
+            }
             if let Ok(clone) = stream.try_clone() {
-                self.peers.lock().expect("peer registry lock").push(clone);
+                self.peers
+                    .lock()
+                    .expect("peer registry lock")
+                    .insert(id, clone);
             }
             let core = Arc::clone(&self.core);
             let stopping = Arc::clone(&self.stopping);
+            let peers = Arc::clone(&self.peers);
             let addr = self.addr;
             connections.push(std::thread::spawn(move || {
                 handle_connection(&core, stream, &stopping, addr);
+                peers.lock().expect("peer registry lock").remove(&id);
             }));
         }
-        for peer in self.peers.lock().expect("peer registry lock").iter() {
+        for peer in self.peers.lock().expect("peer registry lock").values() {
             let _ = peer.shutdown(std::net::Shutdown::Read);
         }
         for connection in connections {
@@ -906,9 +921,9 @@ fn handle_connection(
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let shutdown = serve_streams(core, &mut reader, &mut writer).unwrap_or(false);
-    // The server's peer registry holds a clone of this socket, so merely
-    // dropping our handles would leave it open; shut it down so the peer
-    // sees EOF as soon as its session ends.
+    // The server's peer registry holds a clone of this socket until the
+    // thread removes it, so shut it down now: the peer sees EOF as soon
+    // as its session ends.
     let _ = writer.shutdown(std::net::Shutdown::Both);
     if shutdown && !stopping.swap(true, Ordering::SeqCst) {
         // First shutdown request: unblock the accept loop with a

@@ -9,6 +9,8 @@
 //! * the cache serves repeats without engine work and under the caller's
 //!   name; admission and framing failures are typed and scoped.
 
+#![allow(clippy::expect_used, reason = "test helpers abort on failure")]
+
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -4,8 +4,10 @@
 //! only on which stages ran how often, never on scheduling or wall
 //! clocks. The workload below exercises every outcome class.
 
+#![allow(clippy::expect_used, reason = "test helpers abort on failure")]
+
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rlc_obs::TimeSource;
 use rlc_serve::{
@@ -76,9 +78,12 @@ fn run_workload(workers: usize) -> String {
             })
         })
         .collect();
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = TimeSource::Wall.now() + Duration::from_secs(10);
     while (core.engine_stats().submitted as usize) < 1 + CAPACITY {
-        assert!(Instant::now() < deadline, "held jobs never admitted");
+        assert!(
+            TimeSource::Wall.now() < deadline,
+            "held jobs never admitted"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(core

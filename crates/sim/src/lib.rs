@@ -43,6 +43,8 @@
 //! assert!(delay > Time::ZERO);
 //! ```
 
+#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
+
 pub mod coupled;
 pub mod mna;
 mod source;

@@ -217,6 +217,7 @@ struct Dp<'a> {
 impl Dp<'_> {
     /// Candidates at the top of `node`'s section, children already merged
     /// and the section's own R/L/C absorbed.
+    #[expect(clippy::unreachable, reason = "DP requires a non-empty tree")]
     fn run(&self) -> Vec<Candidate> {
         let n = self.tree.len();
         let mut slots: Vec<Vec<Candidate>> = vec![Vec::new(); n];
@@ -348,6 +349,7 @@ pub struct Placement {
 /// # Panics
 ///
 /// Panics if the tree is empty.
+#[expect(clippy::unreachable, reason = "non-empty tree yields candidates")]
 pub fn plan_buffers(tree: &RlcTree, driver_r_ohms: f64, buffer: &BufferSpec) -> Placement {
     let _span = rlc_obs::span!("synth.dp.plan");
     rlc_obs::counter!("synth.dp.plans");
@@ -425,6 +427,7 @@ fn sparsify(
 /// # Panics
 ///
 /// Panics if the tree is empty or a site is out of range.
+#[expect(clippy::unreachable, reason = "non-empty tree yields a candidate")]
 pub fn score_placement(
     tree: &RlcTree,
     driver_r_ohms: f64,
@@ -495,7 +498,7 @@ mod tests {
                 best = Some((sites, cost));
             }
         }
-        let (mut sites, cost) = best.unwrap_or_else(|| unreachable!());
+        let (mut sites, cost) = best.expect("the empty subset is always scored");
         sites.sort_unstable_by_key(|n| n.index());
         (sites, cost)
     }

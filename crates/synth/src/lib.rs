@@ -155,6 +155,7 @@ pub struct Synthesis {
 /// Panics if the tree is empty, `driver_r_ohms` or the buffer resistance
 /// is not positive, or the config's width bounds are not an increasing
 /// positive bracket.
+#[expect(clippy::unreachable, reason = "require nodes are queried")]
 pub fn synthesize_tree(
     tree: &RlcTree,
     driver_r_ohms: f64,

@@ -52,6 +52,7 @@ impl Stage {
     /// The cut-point node inside this stage where the buffer of frontier
     /// site `w` attaches: `parent(w)` mapped into the stage, or the
     /// synthetic driver node when `w` is an original root.
+    #[expect(clippy::unreachable, reason = "a cut parent is in the cut's stage")]
     pub fn cut_node(&self, original: &RlcTree, w: NodeId) -> NodeId {
         match original.parent(w) {
             Some(p) => self
@@ -92,6 +93,7 @@ impl Stage {
 /// # Panics
 ///
 /// Panics if the tree is empty or a site is out of range.
+#[expect(clippy::unreachable, reason = "each unreachable! states its invariant")]
 pub fn decompose(
     tree: &RlcTree,
     driver_r_ohms: f64,
@@ -220,6 +222,7 @@ pub struct NetEval {
 /// # Panics
 ///
 /// Panics if `stages` was not produced by [`decompose`] for `tree`.
+#[expect(clippy::unreachable, reason = "each unreachable! states its invariant")]
 pub fn evaluate(
     tree: &RlcTree,
     stages: &[Stage],

@@ -270,13 +270,14 @@ impl SynthDeck {
     /// deck header is *not* preserved: two synthesis decks differing only
     /// in prose must share one cache identity, matching the analyze and
     /// couple key derivations.
+    #[expect(clippy::unreachable, reason = "canonical decks always end with .end")]
     pub fn canonical_deck(&self) -> String {
         use std::fmt::Write as _;
 
         let base = self.netlist.tree().canonical_deck();
         let body = base
             .strip_suffix(".end\n")
-            .unwrap_or_else(|| unreachable!("canonical netlist decks always end with .end"));
+            .unwrap_or_else(|| unreachable!("canonical decks always end with .end"));
         let mut out = body.to_owned();
         let buffer = self.buffer();
         let _ = writeln!(

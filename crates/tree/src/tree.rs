@@ -32,8 +32,11 @@ impl NodeId {
     ///
     /// Panics if `index` does not fit the id's 32-bit representation.
     #[inline]
+    #[expect(
+        clippy::panic,
+        reason = "documented # Panics contract: the u32 arena capacity limit is a deliberate representation bound"
+    )]
     pub fn from_index(index: usize) -> Self {
-        // audit:allow(A401, reason="documented # Panics contract: the u32 arena capacity limit is a deliberate representation bound")
         NodeId(u32::try_from(index).unwrap_or_else(|_| panic!("node index {index} overflows u32")))
     }
 }
@@ -125,9 +128,12 @@ impl RlcTree {
         id
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "u32 arena capacity limit: a four-billion-node tree is out of scope by design, and growth APIs document the panic"
+    )]
     fn push(&mut self, section: RlcSection, parent: Option<NodeId>) -> NodeId {
         let Ok(index) = u32::try_from(self.nodes.len()) else {
-            // audit:allow(A401, reason="u32 arena capacity limit: a four-billion-node tree is out of scope by design, and growth APIs document the panic")
             panic!("tree exceeds u32::MAX nodes");
         };
         let id = NodeId(index);
@@ -443,6 +449,7 @@ impl RlcTree {
     /// # Panics
     ///
     /// Panics if `parent` does not belong to this tree.
+    #[expect(clippy::unreachable, reason = "parents precede children in preorder")]
     pub fn graft(&mut self, parent: Option<NodeId>, other: &RlcTree) -> Vec<NodeId> {
         let mut new_roots = Vec::with_capacity(other.roots().len());
         let mut map: Vec<Option<NodeId>> = vec![None; other.len()];
@@ -450,7 +457,7 @@ impl RlcTree {
             let new_id = match other.parent(old) {
                 Some(p) => {
                     let Some(mapped) = map[p.index()] else {
-                        unreachable!("preorder visits parents before children");
+                        unreachable!("parents precede children in preorder");
                     };
                     self.add_section(mapped, *other.section(old))
                 }

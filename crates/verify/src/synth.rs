@@ -239,6 +239,7 @@ fn oracle_eval(
 
 impl SynthConformance {
     /// Runs the conformance gates over a generated corpus.
+    #[expect(clippy::unreachable, reason = "sinks are queried in both evals")]
     pub fn run(&self, spec: &SynthSpec) -> SynthVerifyReport {
         let _span = rlc_obs::span!("verify.synth.run");
         let mut master = SplitMix64::new(spec.seed);

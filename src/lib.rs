@@ -24,7 +24,6 @@
 //! | [`synth`] | `rlc-synth` | EED-driven buffer insertion and joint wire sizing |
 //! | [`serve`] | `rlc-serve` | networked timing service: protocol, cache, admission |
 //! | [`lint`] | `rlc-lint` | deck static analysis: stable rule codes, lint gate |
-//! | [`audit`] | `rlc-audit` | workspace invariant auditor: determinism, unsafe, schema drift |
 //!
 //! # Quick start
 //!
@@ -49,7 +48,6 @@
 //! paper's figures.
 
 pub use eed;
-pub use rlc_audit as audit;
 pub use rlc_awe as awe;
 pub use rlc_couple as couple;
 pub use rlc_engine as engine;
