@@ -56,9 +56,6 @@ impl ReducedOrderModel {
         if available < 2 * order {
             return Err(AweError::InsufficientMoments { order, available });
         }
-        let _span = rlc_obs::span!("awe.pade");
-        rlc_obs::counter!("awe.pade.calls");
-        rlc_obs::counter!("awe.pade.moments_matched", 2 * order as u64);
         let q = order;
         // Moments of physical circuits carry units of seconds^k and span
         // many decades; normalize time by |m_1| so the Hankel system is
@@ -109,10 +106,6 @@ impl ReducedOrderModel {
             residues.push(p_poly.eval_complex(p) / denom / scale);
         }
         let poles: Vec<Complex64> = poles.into_iter().map(|p| p / scale).collect();
-        let unstable = poles.iter().filter(|p| p.re >= 0.0).count();
-        if unstable > 0 {
-            rlc_obs::counter!("awe.pade.unstable_poles", unstable as u64);
-        }
         Ok(Self { poles, residues })
     }
 

@@ -227,10 +227,7 @@ fn speedup_guard(_c: &mut Criterion) {
 /// ratio is insensitive to machine-wide load shifts between the two
 /// criterion runs. Asserted with a 3.5x floor — below that the packed
 /// layout has genuinely regressed. The measured median (printed, and
-/// recorded in `BENCH_engine.json`) sits at ~5x on a single vCPU in
-/// default builds; `--features obs` builds measure ~4.2x because the
-/// flat path carries span/counter instrumentation that the preserved
-/// legacy walker predates.
+/// recorded in `BENCH_engine.json`) sits at ~5x on a single vCPU.
 fn kernel_guard(_c: &mut Criterion) {
     use rlc_obs::TimeSource;
 

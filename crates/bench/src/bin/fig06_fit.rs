@@ -9,7 +9,7 @@
 
 use eed::fitted;
 use eed::step::time_to_reach_scaled;
-use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{BenchError, FigureCsv, ShapeChecks};
 
 fn main() -> Result<(), BenchError> {
     let grid = fitted::standard_zeta_grid();
@@ -75,5 +75,5 @@ fn main() -> Result<(), BenchError> {
         (d_small - core::f64::consts::FRAC_PI_3).abs() < 0.1,
     );
 
-    conclude("fig06_fit", checks)
+    checks.finish()
 }

@@ -7,7 +7,7 @@
 #![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::SecondOrderModel;
-use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{BenchError, FigureCsv, ShapeChecks};
 use rlc_units::{AngularFrequency, Time};
 
 fn main() -> Result<(), BenchError> {
@@ -90,5 +90,5 @@ fn main() -> Result<(), BenchError> {
         excursion > band,
     );
 
-    conclude("fig07_underdamped", checks)
+    checks.finish()
 }

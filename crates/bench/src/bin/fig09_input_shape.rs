@@ -10,7 +10,7 @@
 #![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::TreeAnalysis;
-use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{BenchError, FigureCsv, ShapeChecks};
 use rlc_sim::{simulate, SimOptions, Source};
 use rlc_tree::topology;
 use rlc_units::Time;
@@ -88,5 +88,5 @@ fn main() -> Result<(), BenchError> {
         max_errors[0] / max_errors.last().expect("non-empty") > 10.0,
     );
 
-    conclude("fig09_input_shape", checks)
+    checks.finish()
 }

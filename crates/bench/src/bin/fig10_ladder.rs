@@ -13,7 +13,7 @@
 #![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::TreeAnalysis;
-use rlc_bench::{conclude, section, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{section, BenchError, FigureCsv, ShapeChecks};
 use rlc_moments::transfer_moments;
 use rlc_sim::{simulate, SimOptions, Source};
 use rlc_tree::topology;
@@ -94,5 +94,5 @@ fn main() -> Result<(), BenchError> {
         tree.len() == 15 && ladder.len() == 4,
     );
 
-    conclude("fig10_ladder", checks)
+    checks.finish()
 }

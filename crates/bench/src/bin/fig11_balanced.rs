@@ -12,8 +12,7 @@
 use eed::TreeAnalysis;
 use rlc_awe::ReducedOrderModel;
 use rlc_bench::{
-    conclude, delay_error, retune_zeta, section, sim_step_waveform, BenchError, FigureCsv,
-    ShapeChecks,
+    delay_error, retune_zeta, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks,
 };
 use rlc_tree::topology;
 
@@ -42,7 +41,7 @@ fn main() -> Result<(), BenchError> {
                 ]);
             }
         }
-        let err = delay_error(model, &wave);
+        let err = delay_error(model, &wave)?;
         let sim_t50 = wave.delay_50(1.0).expect("crosses 50%");
         let wyatt_err = ((wyatt.delay_50().expect("monotone") - sim_t50).as_seconds()
             / sim_t50.as_seconds())
@@ -73,5 +72,5 @@ fn main() -> Result<(), BenchError> {
         wyatt_errors[3] < wyatt_errors[0],
     );
 
-    conclude("fig11_balanced", checks)
+    checks.finish()
 }

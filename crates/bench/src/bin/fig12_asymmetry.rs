@@ -10,8 +10,7 @@
 
 use eed::TreeAnalysis;
 use rlc_bench::{
-    conclude, delay_error, section, sim_step_waveform, waveform_error, BenchError, FigureCsv,
-    ShapeChecks,
+    delay_error, section, sim_step_waveform, waveform_error, BenchError, FigureCsv, ShapeChecks,
 };
 use rlc_tree::topology;
 
@@ -31,7 +30,7 @@ fn main() -> Result<(), BenchError> {
         for (label, sink) in [(4.0, nodes.n4), (7.0, nodes.n7)] {
             let model = timing.model(sink);
             let wave = sim_step_waveform(&tree, sink, 400.0, 40.0);
-            let de = delay_error(model, &wave);
+            let de = delay_error(model, &wave)?;
             let we = waveform_error(model, &wave);
             csv.row(&[asym, label, de, we]);
             println!(
@@ -61,5 +60,5 @@ fn main() -> Result<(), BenchError> {
         worst_wave.iter().zip(&worst_delay).all(|(&w, &d)| w > d),
     );
 
-    conclude("fig12_asymmetry", checks)
+    checks.finish()
 }

@@ -12,8 +12,8 @@
 
 use eed::TreeAnalysis;
 use rlc_bench::{
-    conclude, delay_error, retune_zeta, section, sim_step_waveform, waveform_error, BenchError,
-    FigureCsv, ShapeChecks,
+    delay_error, retune_zeta, section, sim_step_waveform, waveform_error, BenchError, FigureCsv,
+    ShapeChecks,
 };
 use rlc_tree::topology;
 
@@ -44,7 +44,7 @@ fn main() -> Result<(), BenchError> {
                 ]);
             }
         }
-        let de = delay_error(model, &wave);
+        let de = delay_error(model, &wave)?;
         let we = waveform_error(model, &wave);
         println!(
             "{name:<13} {:<9} {:<7} {:<8.3} {:<11.2}% {:.2}%",
@@ -73,5 +73,5 @@ fn main() -> Result<(), BenchError> {
         results[1].0 < results[0].0,
     );
 
-    conclude("fig13_branching", checks)
+    checks.finish()
 }

@@ -12,8 +12,7 @@
 
 use eed::TreeAnalysis;
 use rlc_bench::{
-    conclude, delay_error, section, sim_step_waveform, waveform_error, BenchError, FigureCsv,
-    ShapeChecks,
+    delay_error, section, sim_step_waveform, waveform_error, BenchError, FigureCsv, ShapeChecks,
 };
 use rlc_tree::topology;
 
@@ -31,7 +30,7 @@ fn main() -> Result<(), BenchError> {
         let timing = TreeAnalysis::new(&tree);
         let model = timing.model(sink);
         let wave = sim_step_waveform(&tree, sink, 600.0, 40.0);
-        let de = delay_error(model, &wave);
+        let de = delay_error(model, &wave)?;
         let we = waveform_error(model, &wave);
         csv.row(&[n as f64, model.zeta(), de, we]);
         println!(
@@ -63,5 +62,5 @@ fn main() -> Result<(), BenchError> {
         *delay_errs.last().expect("non-empty") < 0.20,
     );
 
-    conclude("fig14_depth", checks)
+    checks.finish()
 }

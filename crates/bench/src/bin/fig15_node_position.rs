@@ -11,9 +11,7 @@
 #![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::TreeAnalysis;
-use rlc_bench::{
-    conclude, retune_zeta, section, waveform_error, BenchError, FigureCsv, ShapeChecks,
-};
+use rlc_bench::{retune_zeta, section, waveform_error, BenchError, FigureCsv, ShapeChecks};
 use rlc_sim::{simulate, SimOptions, Source};
 use rlc_tree::topology;
 use rlc_units::Time;
@@ -64,5 +62,5 @@ fn main() -> Result<(), BenchError> {
         errors.windows(2).take(3).all(|w| w[1] < w[0]),
     );
 
-    conclude("fig15_node_position", checks)
+    checks.finish()
 }

@@ -11,9 +11,7 @@
 #![allow(clippy::expect_used, reason = "a figure aborts on a broken invariant")]
 
 use eed::TreeAnalysis;
-use rlc_bench::{
-    conclude, retune_zeta, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks,
-};
+use rlc_bench::{retune_zeta, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks};
 use rlc_tree::topology;
 
 fn main() -> Result<(), BenchError> {
@@ -98,5 +96,5 @@ fn main() -> Result<(), BenchError> {
         (model_os - sim_os).abs() < 0.15,
     );
 
-    conclude("fig16_large_tree", checks)
+    checks.finish()
 }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run -p rlc-bench --bin fig_a1_scaling --release`
 
 use eed::TreeAnalysis;
-use rlc_bench::{conclude, section, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{section, BenchError, FigureCsv, ShapeChecks};
 use rlc_obs::TimeSource;
 use rlc_tree::topology;
 
@@ -73,5 +73,5 @@ fn main() -> Result<(), BenchError> {
     let t = time_analysis(&big, 3);
     checks.check("131k sections analyze in < 0.5 s", t < 0.5);
 
-    conclude("fig_a1_scaling", checks)
+    checks.finish()
 }

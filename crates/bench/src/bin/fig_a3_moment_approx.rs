@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a3_moment_approx --release`
 
-use rlc_bench::{conclude, section, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{section, BenchError, FigureCsv, ShapeChecks};
 use rlc_moments::{transfer_moments, tree_sums};
 use rlc_tree::{topology, RlcTree};
 
@@ -67,5 +67,5 @@ fn main() -> Result<(), BenchError> {
         line_errs.iter().chain(&asym_errs).all(|&e| e < 1.0),
     );
 
-    conclude("fig_a3_moment_approx", checks)
+    checks.finish()
 }

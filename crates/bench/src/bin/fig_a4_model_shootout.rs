@@ -13,7 +13,7 @@
 
 use eed::TreeAnalysis;
 use rlc_awe::{awe_at_node, two_pole_at_node, ReducedOrderModel};
-use rlc_bench::{conclude, section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{section, sim_step_waveform, BenchError, FigureCsv, ShapeChecks};
 use rlc_obs::TimeSource;
 use rlc_tree::{topology, NodeId, RlcTree};
 use rlc_units::Time;
@@ -166,5 +166,5 @@ fn main() -> Result<(), BenchError> {
         eed_cost < awe_cost * 20,
     );
 
-    conclude("fig_a4_model_shootout", checks)
+    checks.finish()
 }

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a5_repeater --release`
 
-use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{BenchError, FigureCsv, ShapeChecks};
 use rlc_opt::repeater::{self, Repeater};
 use rlc_tree::wire::WireModel;
 use rlc_units::Inductance;
@@ -73,5 +73,5 @@ fn main() -> Result<(), BenchError> {
         penalty.iter().all(|&p| p >= 0.999),
     );
 
-    conclude("fig_a5_repeater", checks)
+    checks.finish()
 }

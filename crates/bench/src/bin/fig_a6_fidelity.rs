@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run -p rlc-bench --bin fig_a6_fidelity --release`
 
-use rlc_bench::{conclude, BenchError, FigureCsv, ShapeChecks};
+use rlc_bench::{BenchError, FigureCsv, ShapeChecks};
 use rlc_opt::buffering;
 use rlc_opt::repeater::Repeater;
 use rlc_tree::{topology, NodeId, RlcTree};
@@ -132,5 +132,5 @@ fn main() -> Result<(), BenchError> {
         ranks.iter().filter(|&&r| r <= 13).count() * 2 > ranks.len(),
     );
 
-    conclude("fig_a6_fidelity", checks)
+    checks.finish()
 }

@@ -8,12 +8,7 @@
 //!
 //! Failures are reported through [`BenchError`] rather than panics, so a
 //! binary that hits a bad configuration mid-sweep prints what failed and
-//! exits non-zero instead of aborting with a backtrace. When the `obs`
-//! feature is enabled, [`conclude`] also drops a
-//! `target/figures/<fig>.metrics.json` instrumentation report next to each
-//! CSV (see the "Observability" section of `DESIGN.md`).
-
-#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
+//! exits non-zero instead of aborting with a backtrace.
 
 use std::fmt;
 use std::fs;
@@ -31,7 +26,9 @@ pub enum BenchError {
     /// A sweep asked for a configuration the circuit cannot realize
     /// (e.g. retuning an RC tree to a finite ζ).
     Untunable(String),
-    /// Filesystem failure while writing a CSV or metrics report.
+    /// A simulated waveform never crossed 50% within its horizon.
+    NoCrossing,
+    /// Filesystem failure while writing a CSV.
     Io {
         /// What was being written.
         context: String,
@@ -48,6 +45,7 @@ impl fmt::Display for BenchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BenchError::Untunable(msg) => write!(f, "untunable configuration: {msg}"),
+            BenchError::NoCrossing => write!(f, "simulated waveform never crosses 50%"),
             BenchError::Io { context, source } => write!(f, "I/O error ({context}): {source}"),
             BenchError::ShapeChecksFailed { failed } => {
                 write!(
@@ -128,9 +126,14 @@ pub fn sim_step_waveform(tree: &RlcTree, node: NodeId, resolution: f64, horizon:
 
 /// Relative 50% delay error of the model (exact inversion) versus the
 /// simulated waveform.
-pub fn delay_error(model: &SecondOrderModel, wave: &Waveform) -> f64 {
-    let sim = wave.delay_50(1.0).expect("waveform crosses 50%");
-    ((model.delay_50_exact() - sim).as_seconds() / sim.as_seconds()).abs()
+///
+/// # Errors
+///
+/// Returns [`BenchError::NoCrossing`] if the waveform never reaches 50%
+/// within its horizon.
+pub fn delay_error(model: &SecondOrderModel, wave: &Waveform) -> Result<f64, BenchError> {
+    let sim = wave.delay_50(1.0).ok_or(BenchError::NoCrossing)?;
+    Ok(((model.delay_50_exact() - sim).as_seconds() / sim.as_seconds()).abs())
 }
 
 /// Maximum absolute difference between the model's step response and the
@@ -280,40 +283,6 @@ impl ShapeChecks {
     }
 }
 
-/// Writes the process-wide instrumentation snapshot to
-/// `target/figures/<fig>.metrics.json` and returns its path.
-///
-/// Without the `obs` feature the registry is empty and nothing is written
-/// (`Ok(None)`), keeping un-instrumented runs byte-identical to builds
-/// that predate the instrumentation layer.
-///
-/// # Errors
-///
-/// Returns [`BenchError::Io`] if the report cannot be written.
-pub fn write_metrics(fig: &str) -> Result<Option<PathBuf>, BenchError> {
-    if !rlc_obs::enabled() {
-        return Ok(None);
-    }
-    let path = figures_dir()?.join(format!("{fig}.metrics.json"));
-    let json = rlc_obs::snapshot().to_json();
-    fs::write(&path, json.as_bytes())
-        .map_err(BenchError::io(format!("write {fig}.metrics.json")))?;
-    println!("metrics: {}", path.display());
-    Ok(Some(path))
-}
-
-/// Standard epilogue for a figure binary: dump the instrumentation report
-/// (when `obs` is enabled), then resolve the collected shape checks.
-///
-/// # Errors
-///
-/// Returns the metrics I/O error or the shape-check failures, in that
-/// order.
-pub fn conclude(fig: &str, checks: ShapeChecks) -> Result<(), BenchError> {
-    write_metrics(fig)?;
-    checks.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +329,7 @@ mod tests {
         // A short inductive line carries double-digit model error (that is
         // the phenomenon the figures measure); the helpers just need to
         // report it in a sane range.
-        assert!(delay_error(model, &wave) < 0.25);
+        assert!(delay_error(model, &wave).unwrap() < 0.25);
         assert!(waveform_error(model, &wave) < 0.5);
     }
 
@@ -400,21 +369,6 @@ mod tests {
         checks.check("only", true);
         assert!(checks.all_passed());
         assert!(checks.finish().is_ok());
-    }
-
-    #[test]
-    fn write_metrics_matches_feature_state() {
-        let path = write_metrics("__unit_test_metrics").unwrap();
-        assert_eq!(path.is_some(), rlc_obs::enabled());
-        if let Some(path) = path {
-            let content = std::fs::read_to_string(&path).unwrap();
-            let doc = rlc_obs::json::parse(&content).expect("metrics JSON parses");
-            assert_eq!(
-                doc.get("schema").and_then(rlc_obs::json::Value::as_str),
-                Some("rlc-obs/1")
-            );
-            let _ = std::fs::remove_file(&path);
-        }
     }
 
     #[test]

@@ -62,8 +62,6 @@ impl TreeAnalysis {
     /// requires zero-impedance paths or a capacitance-free subtree) get no
     /// model; query them with [`try_model`](Self::try_model).
     pub fn new(tree: &RlcTree) -> Self {
-        let _span = rlc_obs::span!("eed.analysis");
-        rlc_obs::counter!("eed.analysis.calls");
         let sums = rlc_moments::tree_sums(tree);
         let models: Vec<Option<SecondOrderModel>> = tree
             .node_ids()
@@ -77,10 +75,6 @@ impl TreeAnalysis {
                 }
             })
             .collect();
-        rlc_obs::counter!(
-            "eed.analysis.models_built",
-            models.iter().flatten().count() as u64
-        );
         Self {
             sums,
             models,

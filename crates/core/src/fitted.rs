@@ -172,8 +172,6 @@ pub fn exact_rise_scaled(zeta: f64) -> f64 {
 /// values.
 pub fn refit_delay(zetas: &[f64]) -> DelayFit {
     assert!(zetas.len() >= 3, "need at least 3 fit points");
-    let _span = rlc_obs::span!("eed.refit_delay");
-    rlc_obs::counter!("eed.refit_delay.calls");
     let exact: Vec<f64> = zetas
         .iter()
         .map(|&z| step::time_to_reach_scaled(z, 0.5))
@@ -204,11 +202,6 @@ pub fn refit_delay(zetas: &[f64]) -> DelayFit {
         }
         b += 0.01;
     }
-    if rlc_obs::enabled() {
-        for (&z, &e) in zetas.iter().zip(&exact) {
-            rlc_obs::value!("eed.fit.delay_residual", (best.eval(z) - e) / e);
-        }
-    }
     best
 }
 
@@ -222,8 +215,6 @@ pub fn refit_delay(zetas: &[f64]) -> DelayFit {
 /// values.
 pub fn refit_rise(zetas: &[f64]) -> RiseFit {
     assert!(zetas.len() >= 4, "need at least 4 fit points");
-    let _span = rlc_obs::span!("eed.refit_rise");
-    rlc_obs::counter!("eed.refit_rise.calls");
     let (e1, e2) = (1.35, 1.25);
     // Pin the linear coefficient to the exact Elmore limit 2·ln 9 (the
     // scaled first-order rise time is 2ζ·ln 9), so the fit is asymptotically
@@ -270,12 +261,6 @@ pub fn refit_rise(zetas: &[f64]) -> RiseFit {
             b2 += 0.05;
         }
         b1 += 0.05;
-    }
-    if rlc_obs::enabled() {
-        for &z in zetas {
-            let exact = exact_rise_scaled(z);
-            rlc_obs::value!("eed.fit.rise_residual", (best.eval(z) - exact) / exact);
-        }
     }
     best
 }

@@ -28,7 +28,6 @@ impl SecondOrderModel {
     /// assert!((fitted.as_seconds() - exact.as_seconds()).abs() / exact.as_seconds() < 0.04);
     /// ```
     pub fn delay_50(&self) -> Time {
-        rlc_obs::counter!("eed.metrics.delay_50.evals");
         match self.damping() {
             Damping::FirstOrder => self.wyatt_delay_50(),
             _ => self.unscale_time(fitted::delay_50_scaled(self.zeta())),
@@ -44,7 +43,6 @@ impl SecondOrderModel {
     /// The 10–90% rise time via the continuous fitted formula
     /// (paper eqs. 34 and 36).
     pub fn rise_time(&self) -> Time {
-        rlc_obs::counter!("eed.metrics.rise_time.evals");
         match self.damping() {
             Damping::FirstOrder => self.wyatt_rise_time(),
             _ => self.unscale_time(fitted::rise_time_scaled(self.zeta())),

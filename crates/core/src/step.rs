@@ -103,7 +103,6 @@ pub fn time_to_reach_scaled(zeta: f64, level: f64) -> f64 {
         level > 0.0 && level < 1.0,
         "level must lie strictly between 0 and 1, got {level}"
     );
-    rlc_obs::counter!("eed.step.inversions");
     // The response rises monotonically until its first extremum (first peak
     // for ζ<1, +∞ otherwise), and attains `level` < 1 before it.
     let upper = if zeta < 1.0 && !near_critical(zeta) {

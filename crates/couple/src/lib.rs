@@ -359,8 +359,6 @@ pub fn analyze_group_with(
     name: &str,
     scratch: &mut CoupleScratch,
 ) -> GroupTiming {
-    let _span = rlc_obs::span!("couple.analyze_group");
-    rlc_obs::counter!("couple.analyze_group.calls");
     let nets = group.nets();
     let n = nets.len();
 

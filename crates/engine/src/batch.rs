@@ -250,7 +250,6 @@ impl Batch {
     /// those slots before spending worker time; warning- and
     /// info-severity findings never predict failure.
     pub fn precheck(&self) -> Vec<Option<rlc_lint::LintReport>> {
-        let _span = rlc_obs::span!("engine.batch/precheck");
         self.jobs
             .iter()
             .map(|(_, source)| match source {
@@ -464,23 +463,19 @@ impl Engine {
     /// and queue depth into `telemetry` when a sink is supplied.
     #[expect(
         clippy::disallowed_methods,
-        reason = "worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders"
+        reason = "worker timers measure real wall time by design; durations quantize through TimeSource::measured_ns before any report renders"
     )]
     pub fn run_with_telemetry(
         &self,
         batch: &Batch,
         telemetry: Option<&BatchTelemetry>,
     ) -> BatchReport {
-        let _span = rlc_obs::span!("engine.batch");
-        rlc_obs::counter!("engine.batch.runs");
         let jobs = &batch.jobs;
         let n = jobs.len();
-        rlc_obs::counter!("engine.jobs.submitted", n as u64);
         if n == 0 {
             return BatchReport { nets: Vec::new() };
         }
         let workers = self.effective_workers(n);
-        rlc_obs::value!("engine.batch.workers", workers as f64);
 
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, Result<NetTiming, EngineError>)>();
@@ -491,16 +486,12 @@ impl Engine {
                 let tx = tx.clone();
                 let cursor = &cursor;
                 scope.spawn(move || {
-                    let worker_start = Instant::now();
                     let mut scratch = NetScratch::default();
-                    let mut busy_ns = 0u128;
-                    let mut completed = 0u64;
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        rlc_obs::value!("engine.queue.depth", (n - i - 1) as f64);
                         if let Some(sink) = telemetry {
                             sink.depth.record((n - i - 1) as u64);
                         }
@@ -512,22 +503,10 @@ impl Engine {
                             let raw = u64::try_from(net_ns).unwrap_or(u64::MAX);
                             sink.exec.record(sink.time.measured_ns(raw));
                         }
-                        busy_ns += net_ns;
-                        completed += 1;
-                        rlc_obs::counter!("engine.jobs.completed");
-                        if result.is_err() {
-                            rlc_obs::counter!("engine.jobs.failed");
-                        }
                         if tx.send((i, result)).is_err() {
                             break; // collector gone; nothing left to do
                         }
                     }
-                    let alive_ns = worker_start.elapsed().as_nanos().max(1);
-                    rlc_obs::value!("engine.worker.jobs", completed as f64);
-                    rlc_obs::value!(
-                        "engine.worker.utilization",
-                        busy_ns as f64 / alive_ns as f64
-                    );
                 });
             }
             drop(tx);
@@ -561,7 +540,6 @@ pub(crate) fn analyze_one(
     model: TimingModel,
     scratch: &mut NetScratch,
 ) -> Result<NetTiming, EngineError> {
-    let _span = rlc_obs::span!("engine.batch/net");
     catch_unwind(AssertUnwindSafe(|| {
         analyze_unprotected(name, source, model, scratch)
     }))

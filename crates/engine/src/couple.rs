@@ -91,7 +91,6 @@ impl CoupleBatch {
     /// so every job is lintable (unlike [`Batch::precheck`](crate::Batch::precheck),
     /// there is no panic-injection source kind here).
     pub fn precheck(&self) -> Vec<rlc_lint::LintReport> {
-        let _span = rlc_obs::span!("engine.couple/precheck");
         self.jobs
             .iter()
             .map(|(_, source)| match source {
@@ -175,18 +174,15 @@ impl Engine {
     /// supplied.
     #[expect(
         clippy::disallowed_methods,
-        reason = "worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders"
+        reason = "worker timers measure real wall time by design; durations quantize through TimeSource::measured_ns before any report renders"
     )]
     pub fn run_couple_with_telemetry(
         &self,
         batch: &CoupleBatch,
         telemetry: Option<&BatchTelemetry>,
     ) -> CoupleReport {
-        let _span = rlc_obs::span!("engine.couple");
-        rlc_obs::counter!("engine.couple.runs");
         let jobs = &batch.jobs;
         let n = jobs.len();
-        rlc_obs::counter!("engine.couple.jobs.submitted", n as u64);
         if n == 0 {
             return CoupleReport { groups: Vec::new() };
         }
@@ -220,10 +216,6 @@ impl Engine {
                             let raw = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                             sink.record_exec(raw);
                         }
-                        rlc_obs::counter!("engine.couple.jobs.completed");
-                        if result.is_err() {
-                            rlc_obs::counter!("engine.couple.jobs.failed");
-                        }
                         if tx.send((i, result)).is_err() {
                             break; // collector gone; nothing left to do
                         }
@@ -254,7 +246,6 @@ pub(crate) fn analyze_one_couple(
     source: &CoupleSource,
     scratch: &mut CoupleScratch,
 ) -> Result<GroupTiming, EngineError> {
-    let _span = rlc_obs::span!("engine.couple/group");
     // `AssertUnwindSafe` is sound for the scratch: `analyze_group_with`
     // rebuilds the forest and overwrites the sums before reading either, so
     // a previous panic cannot leave state a later job could observe.

@@ -66,7 +66,6 @@ pub struct IncrementalAnalysis {
 impl IncrementalAnalysis {
     /// Takes ownership of `tree` and builds the factored sums in O(n).
     pub fn new(tree: RlcTree) -> Self {
-        let _span = rlc_obs::span!("engine.incremental.build");
         let flat = FlatTree::from_tree(&tree);
         let sums = FlatIncrementalSums::new(&flat);
         Self {
@@ -113,7 +112,6 @@ impl IncrementalAnalysis {
     ///
     /// Panics if `node` does not belong to the tree.
     pub fn set_section(&mut self, node: NodeId, section: RlcSection) -> RlcSection {
-        rlc_obs::counter!("engine.incremental.edits");
         let old = core::mem::replace(self.tree.section_mut(node), section);
         self.journal.push((node, old));
         self.flat.set_section(node.index(), &section);
@@ -143,7 +141,6 @@ impl IncrementalAnalysis {
             mark.0,
             self.journal.len()
         );
-        rlc_obs::counter!("engine.incremental.rollbacks");
         while self.journal.len() > mark.0 {
             let (node, old) = self.journal.pop().expect("length checked");
             *self.tree.section_mut(node) = old;

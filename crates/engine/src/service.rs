@@ -364,7 +364,10 @@ struct Shared {
 
 /// A persistent worker pool with bounded admission and graceful drain.
 ///
-/// See the [module docs](self) for the admission and shutdown contracts.
+/// Admission bounds outstanding (queued + in-flight) work and rejects
+/// with [`EngineError::Overloaded`]; [`drain`](Self::drain) and
+/// [`shutdown`](Self::shutdown) stop admission without dropping accepted
+/// jobs.
 pub struct EngineService {
     shared: Arc<Shared>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -575,14 +578,12 @@ impl EngineService {
                 self.shared
                     .rejected_shutdown
                     .fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("engine.service.rejected.shutdown");
                 return Err(EngineError::ShuttingDown { net: job.name });
             }
             if state.jobs.len() + state.in_flight >= self.shared.capacity {
                 self.shared
                     .rejected_overload
                     .fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("engine.service.rejected.overload");
                 return Err(EngineError::Overloaded {
                     net: job.name,
                     capacity: self.shared.capacity,
@@ -593,10 +594,8 @@ impl EngineService {
             job.depth = depth;
             job.admitted = self.shared.telemetry.time.now();
             state.jobs.push_back(job);
-            rlc_obs::value!("engine.service.queue.depth", state.jobs.len() as f64);
         }
         self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("engine.service.submitted");
         self.shared.job_ready.notify_one();
         Ok(())
     }
@@ -774,7 +773,6 @@ fn worker_loop(shared: &Shared) {
             }
         };
 
-        let _span = rlc_obs::span!("engine.service/job");
         let picked = shared.telemetry.time.now();
         let queue_ns = saturating_ns(picked.duration_since(job.admitted));
         if let Some(hold) = job.hold {
@@ -829,10 +827,8 @@ fn worker_loop(shared: &Shared) {
             depth: job.depth,
         };
         shared.completed.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("engine.service.completed");
         if outcome.is_err() {
             shared.failed.fetch_add(1, Ordering::Relaxed);
-            rlc_obs::counter!("engine.service.failed");
         }
         let mut state = shared.state.lock().expect("service lock");
         state.in_flight -= 1;

@@ -140,7 +140,6 @@ impl SynthBatch {
     /// one report per job, in submission order. `None` marks a file job
     /// whose contents could not be read.
     pub fn precheck(&self) -> Vec<Option<rlc_lint::LintReport>> {
-        let _span = rlc_obs::span!("engine.synth/precheck");
         self.jobs
             .iter()
             .map(|(_, source)| match source {
@@ -226,18 +225,15 @@ impl Engine {
     /// supplied.
     #[expect(
         clippy::disallowed_methods,
-        reason = "worker timers measure real wall time by design; durations feed obs metrics and quantize through TimeSource::measured_ns before any report renders"
+        reason = "worker timers measure real wall time by design; durations quantize through TimeSource::measured_ns before any report renders"
     )]
     pub fn run_synth_with_telemetry(
         &self,
         batch: &SynthBatch,
         telemetry: Option<&BatchTelemetry>,
     ) -> SynthReport {
-        let _span = rlc_obs::span!("engine.synth");
-        rlc_obs::counter!("engine.synth.runs");
         let jobs = &batch.jobs;
         let n = jobs.len();
-        rlc_obs::counter!("engine.synth.jobs.submitted", n as u64);
         if n == 0 {
             return SynthReport { nets: Vec::new() };
         }
@@ -266,10 +262,6 @@ impl Engine {
                     if let Some(sink) = telemetry {
                         let raw = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         sink.record_exec(raw);
-                    }
-                    rlc_obs::counter!("engine.synth.jobs.completed");
-                    if result.is_err() {
-                        rlc_obs::counter!("engine.synth.jobs.failed");
                     }
                     if tx.send((i, result)).is_err() {
                         break; // collector gone; nothing left to do
@@ -300,7 +292,6 @@ pub(crate) fn optimize_one(
     source: &SynthSource,
     config: &SynthConfig,
 ) -> Result<SynthTiming, EngineError> {
-    let _span = rlc_obs::span!("engine.synth/net");
     catch_unwind(AssertUnwindSafe(|| {
         optimize_unprotected(name, source, config)
     }))

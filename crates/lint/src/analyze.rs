@@ -75,8 +75,6 @@ pub fn lint_deck(deck: &str) -> LintReport {
 
 /// Lints a deck with an explicit configuration.
 pub fn lint_deck_with(deck: &str, config: &LintConfig) -> LintReport {
-    let _span = rlc_obs::span!("lint.deck");
-    rlc_obs::counter!("lint.decks");
     let mut scan = Scan::run(deck, config);
     if scan
         .diagnostics
@@ -95,9 +93,7 @@ pub fn lint_deck_with(deck: &str, config: &LintConfig) -> LintReport {
             }
         }
     }
-    let report = LintReport::new(scan.diagnostics);
-    rlc_obs::counter!("lint.diagnostics", report.diagnostics().len() as u64);
-    report
+    LintReport::new(scan.diagnostics)
 }
 
 /// Lints an in-memory tree (no deck text, so no line anchors) with the
@@ -110,7 +106,6 @@ pub fn lint_tree(tree: &RlcTree) -> LintReport {
 
 /// Lints an in-memory tree with an explicit configuration.
 pub fn lint_tree_with(tree: &RlcTree, config: &LintConfig) -> LintReport {
-    let _span = rlc_obs::span!("lint.tree");
     let mut diagnostics = Vec::new();
     if tree.is_empty() {
         diagnostics.push(Diagnostic::deck(

@@ -53,8 +53,6 @@ struct ScannedCoupling {
 
 /// Lints a coupled deck with an explicit configuration.
 pub fn lint_coupled_deck_with(deck: &str, config: &LintConfig) -> LintReport {
-    let _span = rlc_obs::span!("lint.coupled_deck");
-    rlc_obs::counter!("lint.coupled_decks");
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
     let lines: Vec<&str> = deck.lines().collect();
     // Which declared net (by index) owns each deck line; None = group-level.
@@ -184,9 +182,7 @@ pub fn lint_coupled_deck_with(deck: &str, config: &LintConfig) -> LintReport {
         }
     }
 
-    let report = LintReport::new(diagnostics);
-    rlc_obs::counter!("lint.diagnostics", report.diagnostics().len() as u64);
-    report
+    LintReport::new(diagnostics)
 }
 
 /// Validates one `.net` card, mirroring `CoupledGroup::parse`; returns the

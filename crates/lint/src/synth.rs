@@ -28,8 +28,6 @@ pub fn lint_synth_deck(deck: &str) -> LintReport {
 
 /// Lints a synthesis deck with an explicit configuration.
 pub fn lint_synth_deck_with(deck: &str, config: &LintConfig) -> LintReport {
-    let _span = rlc_obs::span!("lint.synth_deck");
-    rlc_obs::counter!("lint.synth_decks");
     let mut diagnostics: Vec<Diagnostic> = lint_deck_with(deck, config).diagnostics().to_vec();
 
     let mut lib_names: Vec<String> = Vec::new();

@@ -141,11 +141,7 @@ impl ElmoreSums {
 /// [`flat_sums_into`](crate::flat_sums_into) /
 /// [`forest_sums_into`](crate::forest_sums_into) kernels are faster still.
 pub fn tree_sums(tree: &RlcTree) -> ElmoreSums {
-    let _span = rlc_obs::span!("moments.tree_sums");
-    rlc_obs::counter!("moments.tree_sums.calls");
     let n = tree.len();
-    // Two passes touch every node once each.
-    rlc_obs::counter!("moments.tree_sums.nodes_visited", 2 * n as u64);
     let mut downstream_cap = vec![Capacitance::ZERO; n];
 
     // Pass 1 (Cal_Cap_Loads): descending sweep accumulating subtree

@@ -91,14 +91,7 @@ impl TransferMoments {
 /// See the module docs for the recursion. `order` is the highest moment
 /// index `q`; `order = 0` returns just the trivial `m_0 = 1`.
 pub fn transfer_moments(tree: &RlcTree, order: usize) -> TransferMoments {
-    let _span = rlc_obs::span!("moments.transfer_moments");
-    rlc_obs::counter!("moments.transfer_moments.calls");
     let n = tree.len();
-    // One moment value per node per order beyond the trivial m_0.
-    rlc_obs::counter!(
-        "moments.transfer_moments.moments_computed",
-        (order * n) as u64
-    );
     let postorder = tree.postorder();
     let preorder = tree.preorder();
 

@@ -115,9 +115,6 @@ fn sums_into_arrays(
 /// queryable with the original [`NodeId`](rlc_tree::NodeId)s and is
 /// bit-identical to [`tree_sums`](crate::tree_sums) on the source tree.
 pub fn flat_sums_into(flat: &FlatTree, out: &mut ElmoreSums) {
-    let _span = rlc_obs::span!("moments.flat_sums");
-    rlc_obs::counter!("moments.flat_sums.calls");
-    rlc_obs::counter!("moments.flat_sums.nodes_visited", 2 * flat.len() as u64);
     sums_into_arrays(
         flat.parents(),
         flat.resistances(),
@@ -164,10 +161,6 @@ pub fn flat_sums(flat: &FlatTree) -> ElmoreSums {
 /// [`net_range(k)`](FlatForest::net_range) offsets and are bit-identical
 /// to analyzing each net alone.
 pub fn forest_sums_into(forest: &FlatForest, out: &mut ElmoreSums) {
-    let _span = rlc_obs::span!("moments.forest_sums");
-    rlc_obs::counter!("moments.forest_sums.calls");
-    rlc_obs::counter!("moments.forest_sums.nets", forest.net_count() as u64);
-    rlc_obs::counter!("moments.forest_sums.nodes_visited", 2 * forest.len() as u64);
     sums_into_arrays(
         forest.parents(),
         forest.resistances(),
@@ -272,8 +265,6 @@ pub struct FlatIncrementalSums {
 impl FlatIncrementalSums {
     /// Builds the factored sums for the current state of `flat` in O(n).
     pub fn new(flat: &FlatTree) -> Self {
-        let _span = rlc_obs::span!("moments.incremental.build");
-        rlc_obs::counter!("moments.incremental.builds");
         let n = flat.len();
         let cap = flat.capacitances();
         let mut downstream_cap = vec![Capacitance::ZERO; n];
@@ -323,7 +314,6 @@ impl FlatIncrementalSums {
             self.len(),
             "tree structure changed under FlatIncrementalSums"
         );
-        rlc_obs::counter!("moments.incremental.edits");
         let cap = flat.capacitances();
         let res = flat.resistances();
         let ind = flat.inductances();

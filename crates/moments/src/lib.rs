@@ -22,8 +22,8 @@
 //!   over a packed [`FlatTree`](rlc_tree::FlatTree) /
 //!   [`FlatForest`](rlc_tree::FlatForest) structure-of-arrays layout: the
 //!   production hot path for batch workloads, bit-identical to
-//!   [`tree_sums`] (the legacy walker survives in [`reference`] for
-//!   differential testing).
+//!   [`tree_sums`] (the legacy walker survives in
+//!   [`reference`](mod@reference) for differential testing).
 //!
 //! * [`FlatIncrementalSums`] — the same two sums in a factored
 //!   per-section form over the flat layout, which a single section edit

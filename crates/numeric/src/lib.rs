@@ -28,8 +28,6 @@
 //! # Ok::<(), rlc_numeric::NumericError>(())
 //! ```
 
-#![allow(clippy::expect_used, reason = "pre-existing calls; see ROADMAP.md")]
-
 mod complex;
 mod error;
 pub mod linalg;

@@ -156,7 +156,7 @@ impl Polynomial {
 
         // Initial guesses: points on a circle of radius set by the Cauchy
         // bound, slightly perturbed off the real axis and off symmetry.
-        let lead = *self.coeffs.last().expect("non-empty");
+        let lead = self.coeffs[n];
         let radius = 1.0
             + self
                 .coeffs

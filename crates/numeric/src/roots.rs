@@ -97,7 +97,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
     if fa.signum() == fb.signum() {
         return Err(NumericError::NoSignChange { a, b });
     }
-    rlc_obs::counter!("numeric.brent.calls");
     if fa.abs() < fb.abs() {
         core::mem::swap(&mut a, &mut b);
         core::mem::swap(&mut fa, &mut fb);
@@ -107,9 +106,8 @@ pub fn brent<F: FnMut(f64) -> f64>(
     let mut d = b - a;
     let mut mflag = true;
 
-    for iter in 0..max_iter {
+    for _ in 0..max_iter {
         if fb == 0.0 || (b - a).abs() < tol {
-            rlc_obs::counter!("numeric.brent.iterations", iter as u64);
             return Ok(b);
         }
         let mut s = if fa != fc && fb != fc {
@@ -158,7 +156,6 @@ pub fn brent<F: FnMut(f64) -> f64>(
             core::mem::swap(&mut fa, &mut fb);
         }
     }
-    rlc_obs::counter!("numeric.brent.iterations", max_iter as u64);
     Err(NumericError::NoConvergence {
         iterations: max_iter,
     })
@@ -215,12 +212,10 @@ where
     if flo.signum() == fhi.signum() {
         return Err(NumericError::NoSignChange { a, b });
     }
-    rlc_obs::counter!("numeric.newton.calls");
     let mut x = x0.clamp(lo.min(hi), lo.max(hi));
-    for iter in 0..max_iter {
+    for _ in 0..max_iter {
         let fx = f(x);
         if fx == 0.0 {
-            rlc_obs::counter!("numeric.newton.iterations", iter as u64);
             return Ok(x);
         }
         // Maintain the bracket.
@@ -230,7 +225,6 @@ where
             hi = x;
         }
         if (hi - lo).abs() < tol {
-            rlc_obs::counter!("numeric.newton.iterations", iter as u64);
             return Ok(0.5 * (lo + hi));
         }
         let dfx = df(x);
@@ -242,7 +236,6 @@ where
             0.5 * (lo + hi)
         };
     }
-    rlc_obs::counter!("numeric.newton.iterations", max_iter as u64);
     Err(NumericError::NoConvergence {
         iterations: max_iter,
     })

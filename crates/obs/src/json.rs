@@ -1,8 +1,8 @@
 //! Minimal JSON support: string/number serialization helpers used by the
-//! reporters, and a small recursive-descent parser used by tools that
-//! aggregate metrics reports (e.g. the `metrics_summary` binary in
-//! `rlc-bench`). No external dependencies; covers the full JSON grammar
-//! except `\u` surrogate pairs are passed through unpaired.
+//! reporters, and a small recursive-descent parser that tests and the
+//! benchmark use to read reports back. No external dependencies; covers
+//! the full JSON grammar except `\u` surrogate pairs are passed through
+//! unpaired.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -280,7 +280,9 @@ impl Parser<'_> {
                     // `len_utf8()` of decoded chars, so the tail is valid
                     // UTF-8 at a character boundary (DESIGN.md §17).
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    let Some(c) = s.chars().next() else {
+                        return Err(self.error("unterminated string"));
+                    };
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -311,7 +313,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.error("invalid number"))?;
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.error("invalid number"))

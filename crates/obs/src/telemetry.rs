@@ -1,12 +1,8 @@
 //! Always-on, lock-light telemetry primitives for the serving stack.
 //!
-//! The rest of this crate (spans, counters, values) is compiled in only
-//! under the `obs` cargo feature — good for offline analysis of the math
-//! pipeline, useless for a production service that must be observable
-//! *as deployed*. This module is the always-on counterpart: a handful of
-//! primitives cheap enough to leave enabled under load, designed so that
-//! the reports they render are **byte-deterministic** for a given request
-//! sequence.
+//! A handful of primitives cheap enough to leave enabled under load,
+//! designed so that the reports they render are **byte-deterministic**
+//! for a given request sequence.
 //!
 //! * [`Counter`] — a relaxed atomic `u64`. One `fetch_add` per event.
 //! * [`Histogram`] — a fixed-bucket, log₂-scale histogram over atomic

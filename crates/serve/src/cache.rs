@@ -140,7 +140,6 @@ impl<T: Clone> ResultCache<T> {
     pub fn get(&mut self, key: &str, now: Instant) -> Option<T> {
         if self.config.capacity == 0 {
             self.misses += 1;
-            rlc_obs::counter!("serve.cache.miss");
             return None;
         }
         let hash = fnv1a_64(key.as_bytes());
@@ -164,7 +163,6 @@ impl<T: Clone> ResultCache<T> {
         match hit {
             Some(timing) => {
                 self.hits += 1;
-                rlc_obs::counter!("serve.cache.hit");
                 Some(timing)
             }
             None => {
@@ -177,10 +175,8 @@ impl<T: Clone> ResultCache<T> {
                     // stale results don't linger until LRU pressure.
                     self.entries.remove(&hash);
                     self.expired += 1;
-                    rlc_obs::counter!("serve.cache.expired");
                 }
                 self.misses += 1;
-                rlc_obs::counter!("serve.cache.miss");
                 None
             }
         }
@@ -204,7 +200,6 @@ impl<T: Clone> ResultCache<T> {
             {
                 self.entries.remove(&victim);
                 self.evictions += 1;
-                rlc_obs::counter!("serve.cache.eviction");
             }
         }
         self.entries.insert(
@@ -216,7 +211,6 @@ impl<T: Clone> ResultCache<T> {
                 last_used: now,
             },
         );
-        rlc_obs::value!("serve.cache.entries", self.entries.len() as f64);
     }
 }
 

@@ -286,6 +286,16 @@ fn read_deck<R: BufRead>(reader: &mut R) -> io::Result<Result<String, ReadOutcom
 /// peer *sent* wrong comes back as [`ReadOutcome::Malformed`] so the
 /// server can answer with a typed response before closing.
 pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
+    match frame_request(reader) {
+        // `read_line` reports bytes that are not UTF-8 as `InvalidData`:
+        // the peer sent them, so they are a framing error, not a
+        // transport failure.
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => malformed("request is not valid UTF-8"),
+        outcome => outcome,
+    }
+}
+
+fn frame_request<R: BufRead>(reader: &mut R) -> io::Result<ReadOutcome> {
     let header = loop {
         let mut line = String::new();
         if reader.read_line(&mut line)? == 0 {

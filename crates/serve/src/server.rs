@@ -162,10 +162,8 @@ impl ServeCore {
         request: AnalyzeRequest,
         read_ns: Option<u64>,
     ) -> String {
-        let _span = rlc_obs::span!("serve/analyze");
         let mut trace = self.telemetry.begin("analyze", read_ns);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         // Lint before the cache lookup: the report depends only on the
         // deck text, so hits and misses carry identical annotations and
         // the deny gate cannot be dodged by a warm cache.
@@ -176,7 +174,6 @@ impl ServeCore {
         match (request.lint, &report) {
             (LintMode::Deny, Some(report)) if !report.passes(true) => {
                 self.lint_denied.fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("serve.lint.denied");
                 let line = trace.time("render", || lint_denied_response(&request.name, report));
                 self.telemetry.finish(trace, "lint_denied");
                 return line;
@@ -284,10 +281,8 @@ impl ServeCore {
     }
 
     pub(crate) fn couple_with_read(&self, request: CoupleRequest, read_ns: Option<u64>) -> String {
-        let _span = rlc_obs::span!("serve/couple");
         let mut trace = self.telemetry.begin("couple", read_ns);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let report = trace.time("lint", || match request.lint {
             LintMode::Off => None,
             LintMode::Warn | LintMode::Deny => Some(rlc_lint::lint_coupled_deck(&request.deck)),
@@ -295,7 +290,6 @@ impl ServeCore {
         match (request.lint, &report) {
             (LintMode::Deny, Some(report)) if !report.passes(true) => {
                 self.lint_denied.fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("serve.lint.denied");
                 let line = trace.time("render", || lint_denied_response(&request.name, report));
                 self.telemetry.finish(trace, "lint_denied");
                 return line;
@@ -406,10 +400,8 @@ impl ServeCore {
         request: OptimizeRequest,
         read_ns: Option<u64>,
     ) -> String {
-        let _span = rlc_obs::span!("serve/optimize");
         let mut trace = self.telemetry.begin("optimize", read_ns);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let report = trace.time("lint", || match request.lint {
             LintMode::Off => None,
             LintMode::Warn | LintMode::Deny => Some(rlc_lint::lint_synth_deck(&request.deck)),
@@ -417,7 +409,6 @@ impl ServeCore {
         match (request.lint, &report) {
             (LintMode::Deny, Some(report)) if !report.passes(true) => {
                 self.lint_denied.fetch_add(1, Ordering::Relaxed);
-                rlc_obs::counter!("serve.lint.denied");
                 let line = trace.time("render", || lint_denied_response(&request.name, report));
                 self.telemetry.finish(trace, "lint_denied");
                 return line;
@@ -512,10 +503,8 @@ impl ServeCore {
     }
 
     pub(crate) fn lint_with_read(&self, request: &LintRequest, read_ns: Option<u64>) -> String {
-        let _span = rlc_obs::span!("serve/lint");
         let mut trace = self.telemetry.begin("lint", read_ns);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let report = trace.time("lint", || rlc_lint::lint_deck(&request.deck));
         let line = trace.time("render", || {
             format!(
@@ -535,7 +524,6 @@ impl ServeCore {
     pub(crate) fn probe_with_read(&self, read_ns: Option<u64>) -> String {
         let mut trace = self.telemetry.begin("probe", read_ns);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let line = trace.time("render", || {
             format!(
                 "{{\"proto\": \"rlc-serve/1\", \"type\": \"probe\", {}}}",
@@ -559,7 +547,6 @@ impl ServeCore {
         let mut trace = self.telemetry.begin("metrics", read_ns);
         let report = self.metrics_report();
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let line = trace.time("render", || {
             format!("{{\"proto\": \"rlc-serve/1\", \"type\": \"metrics\", \"report\": {report}}}")
         });
@@ -593,7 +580,6 @@ impl ServeCore {
         let mut trace = self.telemetry.begin("trace", read_ns);
         let body = self.telemetry.trace_body(last);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request");
         let line = trace.time("render", || {
             format!("{{\"proto\": \"rlc-serve/1\", \"type\": \"trace\", \"report\": {body}}}")
         });
@@ -613,7 +599,6 @@ impl ServeCore {
     ) -> String {
         let mut trace = self.telemetry.begin("bad_request", read_ns);
         self.bad_requests.fetch_add(1, Ordering::Relaxed);
-        rlc_obs::counter!("serve.request.bad");
         let line = trace.time("render", || {
             format!(
                 "{{\"proto\": \"rlc-serve/1\", \"type\": \"error\", \"kind\": \"bad_request\", \"message\": {}}}",
@@ -630,8 +615,9 @@ impl ServeCore {
         self.service.drain();
     }
 
-    /// The final `rlc-serve/1` stats report. Call after [`drain`]
-    /// (enforced nowhere — a pre-drain call just reports a moving count).
+    /// The final `rlc-serve/1` stats report. Call after
+    /// [`drain`](Self::drain) (enforced nowhere — a pre-drain call just
+    /// reports a moving count).
     pub fn final_stats(&self) -> String {
         format!(
             "{{\"proto\": \"rlc-serve/1\", \"type\": \"stats\", {}}}",

@@ -7,19 +7,22 @@
 //! * the full per-client transcript and the final stats report are
 //!   byte-identical across worker counts;
 //! * the cache serves repeats without engine work and under the caller's
-//!   name; admission and framing failures are typed and scoped.
+//!   name; admission and framing failures are typed and scoped;
+//! * no byte stream makes `read_request` panic or fail.
 
 #![allow(clippy::expect_used, reason = "test helpers abort on failure")]
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use proptest::prelude::*;
 use rlc_engine::{net_json, Batch, Engine, EngineService, JobSpec, ServiceConfig, TimingModel};
+use rlc_serve::protocol::read_request;
 use rlc_serve::{
-    serve_stdio, AnalyzeRequest, CacheConfig, CoupleRequest, LintMode, LintRequest, ServeConfig,
-    ServeCore, Server,
+    serve_stdio, AnalyzeRequest, CacheConfig, CoupleRequest, LintMode, LintRequest, ReadOutcome,
+    ServeConfig, ServeCore, Server,
 };
 
 const LINE_DECK: &str = "R1 in n1 25\nC1 n1 0 0.5p\nL2 n1 n2 5n\nC2 n2 0 1p\n";
@@ -426,6 +429,53 @@ fn stdio_session_flushes_the_final_report_on_eof() {
     assert!(lines[1].contains("\"type\": \"probe\""), "{text}");
     assert!(lines[2].contains("\"type\": \"stats\""), "{text}");
     assert!(lines[2].contains("\"requests\": 2"), "{text}");
+}
+
+/// Bytes that are not UTF-8 are a framing error like any other: the
+/// session answers with a typed `bad_request`, counts it, and still ends
+/// with the final stats report.
+#[test]
+fn stdio_session_answers_non_utf8_with_bad_request() {
+    let input: &[u8] = b"probe\n\xff\xfe bogus\nprobe\n";
+    let mut output = Vec::new();
+    serve_stdio(ServeConfig::default(), &mut &input[..], &mut output).expect("stdio session");
+    let text = String::from_utf8(output).expect("utf8 output");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 3, "{text}");
+    assert!(lines[0].contains("\"type\": \"probe\""), "{text}");
+    assert!(lines[1].contains("\"kind\": \"bad_request\""), "{text}");
+    assert!(lines[1].contains("not valid UTF-8"), "{text}");
+    assert!(lines[2].contains("\"type\": \"stats\""), "{text}");
+    assert!(lines[2].contains("\"bad_requests\": 1"), "{text}");
+}
+
+/// Request bytes: arbitrary octets mixed with the protocol's own tokens,
+/// so inputs reach past the header into deck framing.
+fn request_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        any::<u32>().prop_map(|x| x as u8),
+        proptest::sample::select(
+            b"\n\n\n.. ==analyze couple optimize lint probe trace name".to_vec()
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever a peer sends, framing ends in a request, a typed
+    /// malformed outcome or EOF; it never panics or fails.
+    #[test]
+    fn read_request_never_panics_or_fails(bytes in proptest::collection::vec(request_byte(), 0..=512)) {
+        let mut reader = Cursor::new(bytes);
+        loop {
+            match read_request(&mut reader) {
+                Ok(ReadOutcome::Request(_)) => {}
+                Ok(ReadOutcome::Eof | ReadOutcome::Malformed(_)) => break,
+                Err(e) => return Err(TestCaseError::fail(format!("read_request failed: {e}"))),
+            }
+        }
+    }
 }
 
 /// Eviction and TTL-expiry counters flow from the cache through the

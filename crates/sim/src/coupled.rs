@@ -63,8 +63,6 @@ pub fn simulate_coupled(
             "observed node {node} is not in net {net}"
         );
     }
-    let _span = rlc_obs::span!("sim.coupled");
-    rlc_obs::counter!("sim.coupled.calls");
 
     // Block layout: net k's state is [v_0…v_{n_k−1}, i_0…i_{n_k−1}] at
     // offset `state_off[k]`; its voltages also get compact rows
@@ -80,7 +78,6 @@ pub fn simulate_coupled(
         nv += net.tree().len();
     }
     let vrow = |net: usize, node: NodeId| state_off[net] + node.index();
-    rlc_obs::value!("sim.coupled.dim", dim);
 
     // Stacked descriptor system: per-net blocks, then coupling stamps.
     let mut e = Matrix::zeros(dim, dim);
@@ -131,7 +128,6 @@ pub fn simulate_coupled(
     let lu = m1
         .lu()
         .expect("trapezoidal iteration matrix of a physical coupled group is nonsingular");
-    rlc_obs::counter!("sim.coupled.lu_factorizations");
 
     let u0: Vec<f64> = sources.iter().map(input_at_zero_plus).collect();
     let mut x = initial_state(group, &u0, &v_off, dim, &state_off);
@@ -160,7 +156,6 @@ pub fn simulate_coupled(
             recorded[slot].push(x[vrow(net, node)]);
         }
     }
-    rlc_obs::counter!("sim.coupled.steps", steps as u64);
     recorded
         .into_iter()
         .map(|values| Waveform::new(times.clone(), values))

@@ -77,13 +77,9 @@ pub fn simulate_mna(
             "observed node {id} is not in the tree"
         );
     }
-    let _span = rlc_obs::span!("sim.mna");
-    rlc_obs::counter!("sim.mna.calls");
     let n = tree.len();
     let dim = 2 * n;
     let h = options.dt().as_seconds();
-    rlc_obs::value!("sim.mna.dim", dim);
-    let setup_span = rlc_obs::span!("setup");
     let (e, a, b) = descriptor_system(tree);
 
     // M1 = 2E/h − A (factored once);   M2 = 2E/h + A.
@@ -96,13 +92,9 @@ pub fn simulate_mna(
             m2[(i, j)] = e_term + a[(i, j)];
         }
     }
-    drop(setup_span);
-    let factor_span = rlc_obs::span!("factor");
     let lu = m1
         .lu()
         .expect("trapezoidal iteration matrix of a physical RLC tree is nonsingular");
-    drop(factor_span);
-    rlc_obs::counter!("sim.mna.lu_factorizations");
 
     let steps = options.steps();
     // Initialize consistently with the input at t = 0⁺ (see tree_sim).
@@ -120,7 +112,6 @@ pub fn simulate_mna(
         recorded[slot].push(x[id.index()]);
     }
     let mut u_prev = crate::tree_sim::input_at_zero_plus(source);
-    let stepping_span = rlc_obs::span!("stepping");
     for step in 1..=steps {
         let t_next = Time::from_seconds(step as f64 * h);
         let u_next = source.value_at(t_next);
@@ -135,9 +126,6 @@ pub fn simulate_mna(
             recorded[slot].push(x[id.index()]);
         }
     }
-    drop(stepping_span);
-    rlc_obs::counter!("sim.mna.steps", steps as u64);
-    rlc_obs::counter!("sim.mna.solves", steps as u64);
     recorded
         .into_iter()
         .map(|values| Waveform::new(times.clone(), values))
@@ -176,8 +164,6 @@ pub fn simulate_rk4(
             "observed node {id} is not in the tree"
         );
     }
-    let _span = rlc_obs::span!("sim.rk4");
-    rlc_obs::counter!("sim.rk4.calls");
     let n = tree.len();
     let dim = 2 * n;
     let (e, a, b) = descriptor_system(tree);
@@ -240,7 +226,6 @@ pub fn simulate_rk4(
             recorded[slot].push(x[id.index()]);
         }
     }
-    rlc_obs::counter!("sim.rk4.steps", steps as u64);
     recorded
         .into_iter()
         .map(|values| Waveform::new(times.clone(), values))

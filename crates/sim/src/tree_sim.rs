@@ -230,10 +230,6 @@ pub fn simulate(
             "observed node {id} is not in the tree"
         );
     }
-    let _span = rlc_obs::span!("sim.simulate");
-    rlc_obs::counter!("sim.calls");
-    rlc_obs::counter!("sim.sections", tree.len() as u64);
-    let setup_span = rlc_obs::span!("setup");
     let n = tree.len();
     let h = options.dt.as_seconds();
     let trapezoidal = options.integration == Integration::Trapezoidal;
@@ -286,9 +282,7 @@ pub fn simulate(
     for (slot, &id) in observe.iter().enumerate() {
         recorded[slot].push(v[id.index()]);
     }
-    drop(setup_span);
 
-    let stepping_span = rlc_obs::span!("stepping");
     for step in 1..=steps {
         let t_next = Time::from_seconds(step as f64 * h);
         let u = source.value_at(t_next);
@@ -336,8 +330,6 @@ pub fn simulate(
             recorded[slot].push(v[id.index()]);
         }
     }
-    drop(stepping_span);
-    rlc_obs::counter!("sim.steps", steps as u64);
 
     recorded
         .into_iter()

@@ -41,7 +41,7 @@
 //! bounds costs with `≤`: dropping a dominated candidate is *cost*-safe
 //! but can change which of several equal-cost optima survives, so the
 //! pruner additionally requires the dominator to be either strictly
-//! better (certified per [`domination`]) or tie-break preferred. The
+//! better (certified per `domination`) or tie-break preferred. The
 //! ≤ 12-site exhaustive test in this crate checks the consequence —
 //! cost *and* chosen sites — bit-for-bit.
 
@@ -351,8 +351,6 @@ pub struct Placement {
 /// Panics if the tree is empty.
 #[expect(clippy::unreachable, reason = "non-empty tree yields candidates")]
 pub fn plan_buffers(tree: &RlcTree, driver_r_ohms: f64, buffer: &BufferSpec) -> Placement {
-    let _span = rlc_obs::span!("synth.dp.plan");
-    rlc_obs::counter!("synth.dp.plans");
     assert!(!tree.is_empty(), "cannot buffer an empty tree");
     let dp = Dp {
         tree,

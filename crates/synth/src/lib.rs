@@ -163,8 +163,6 @@ pub fn synthesize_tree(
     requires: &[(NodeId, f64)],
     config: &SynthConfig,
 ) -> Synthesis {
-    let _span = rlc_obs::span!("synth.synthesize");
-    rlc_obs::counter!("synth.nets");
     assert!(!tree.is_empty(), "cannot synthesize an empty tree");
     assert!(
         driver_r_ohms > 0.0 && buffer.resistance > 0.0,
@@ -192,9 +190,6 @@ pub fn synthesize_tree(
     } else {
         Vec::new()
     };
-    if adopt_buffers {
-        rlc_obs::counter!("synth.nets.buffered");
-    }
 
     let require_nodes: Vec<NodeId> = requires.iter().map(|&(n, _)| n).collect();
     let mut stages = decompose(tree, driver_r_ohms, buffer, &sites);
@@ -206,7 +201,6 @@ pub fn synthesize_tree(
         let outcome = sizing::size_width(tree, &mut stages, buffer, &require_nodes, w_lo, w_hi);
         if outcome.unit_delay - outcome.delay > config.min_gain * outcome.unit_delay {
             width = outcome.width;
-            rlc_obs::counter!("synth.nets.sized");
         } else {
             sizing::reset_width(&mut stages);
         }

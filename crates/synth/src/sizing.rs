@@ -41,8 +41,6 @@ pub(crate) fn size_width(
     lo: f64,
     hi: f64,
 ) -> WidthOutcome {
-    let _span = rlc_obs::span!("synth.sizing.search");
-    rlc_obs::counter!("synth.sizing.searches");
     let buffered: Vec<usize> = stages
         .iter()
         .enumerate()

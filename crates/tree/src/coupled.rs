@@ -1,7 +1,7 @@
 //! Multi-net coupled groups: several RLC trees tied together by coupling
 //! capacitors, parsed from one deck.
 //!
-//! A *coupled deck* extends the single-net card format (see [`netlist`]) with
+//! A *coupled deck* extends the single-net card format (see [`netlist`](crate::netlist)) with
 //! two constructs:
 //!
 //! * `.net <name>` opens a named net block; every ordinary card (`R`, `L`,

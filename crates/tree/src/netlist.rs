@@ -354,7 +354,7 @@ impl RlcTree {
     /// `t` exactly, node ids included, and a second round trip is a
     /// fixpoint — properties exercised in `tests/canonical_roundtrip.rs`.
     /// Sections carrying both R and L (only constructible via the API) are
-    /// split into an R card and an L card like [`write`], which preserves
+    /// split into an R card and an L card like [`write()`], which preserves
     /// the electrical behaviour but doubles those sections on re-parse.
     ///
     /// # Examples

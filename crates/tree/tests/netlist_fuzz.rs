@@ -1,17 +1,27 @@
-//! Property/fuzz tests for the netlist parser: arbitrary input must never
-//! panic, and valid generated trees must round-trip.
+//! Property/fuzz tests for the deck parsers: arbitrary input must never
+//! panic in any of the three grammars (netlist, coupled, synthesis), and
+//! valid generated trees must round-trip.
 
 use proptest::prelude::*;
+use rlc_tree::coupled::CoupledGroup;
+use rlc_tree::synth::SynthDeck;
 use rlc_tree::{netlist, topology, RlcSection};
 use rlc_units::{Capacitance, Inductance, Resistance};
+
+/// Runs every deck parser on `deck`; each returns Ok or a typed error.
+fn parse_all(deck: &str) {
+    let _ = netlist::Netlist::parse(deck);
+    let _ = CoupledGroup::parse(deck);
+    let _ = SynthDeck::parse(deck);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary byte soup: the parser returns Ok or Err, never panics.
+    /// Arbitrary byte soup: the parsers return Ok or Err, never panic.
     #[test]
     fn parser_never_panics_on_arbitrary_text(deck in ".{0,400}") {
-        let _ = netlist::Netlist::parse(&deck);
+        parse_all(&deck);
     }
 
     /// Structured-looking garbage: plausible card shapes with random
@@ -20,17 +30,20 @@ proptest! {
     fn parser_never_panics_on_cardlike_text(
         cards in proptest::collection::vec(
             (
-                proptest::sample::select(vec!["R", "L", "C", "X", ".input", "*", ""]),
-                "[a-z0-9 ]{0,20}",
+                proptest::sample::select(vec![
+                    "R1", "L1", "C1", "K1", "X1", ".input", ".net", ".lib", ".use",
+                    ".driver", ".require", ".end", "*", "",
+                ]),
+                "[a-z0-9 .=]{0,20}",
             ),
             0..20,
         )
     ) {
         let deck: String = cards
             .iter()
-            .map(|(kind, rest)| format!("{kind}1 {rest}\n"))
+            .map(|(kind, rest)| format!("{kind} {rest}\n"))
             .collect();
-        let _ = netlist::Netlist::parse(&deck);
+        parse_all(&deck);
     }
 
     /// Write → parse round-trips every random tree losslessly in its

@@ -112,7 +112,7 @@ pub struct ErrorStats {
     /// Model delay of the worst case.
     pub worst_pred: Time,
     /// Histogram of |relative error|: one count per
-    /// [`HISTOGRAM_EDGES`] bucket plus a final open-ended bucket.
+    /// `HISTOGRAM_EDGES` bucket plus a final open-ended bucket.
     pub histogram: [usize; HISTOGRAM_EDGES.len() + 1],
     /// `false` if the model has a tolerance and `max_abs` exceeds it.
     pub pass: bool,
@@ -268,7 +268,6 @@ impl Conformance {
 
     /// Evaluates every model on an already-generated corpus.
     pub fn run_corpus(&self, spec: &CorpusSpec, corpus: &TreeCorpus) -> ConformanceReport {
-        let _span = rlc_obs::span!("verify.conformance.run");
         let mut outcomes = Vec::with_capacity(corpus.len());
         let mut skipped = Vec::new();
         let mut violations = Vec::new();
@@ -277,12 +276,10 @@ impl Conformance {
             let reference = match self.oracle.measure(&net.tree, net.sink) {
                 Ok(m) => m,
                 Err(why) => {
-                    rlc_obs::counter!("verify.conformance.skipped");
                     skipped.push((net.name.clone(), why));
                     continue;
                 }
             };
-            rlc_obs::counter!("verify.conformance.measured");
             let predictions = predict_all(net, &mut violations);
             outcomes.push(NetOutcome {
                 net: net.name.clone(),
@@ -388,7 +385,6 @@ fn collect_stats(model: ModelKind, k: usize, outcomes: &[NetOutcome]) -> ErrorSt
         ),
         None => (0.0, String::new(), 0, Time::ZERO, Time::ZERO),
     };
-    rlc_obs::value!("verify.conformance.max_abs_rel_err", max_abs);
     let pass = model.tolerance().is_none_or(|tol| max_abs <= tol);
     ErrorStats {
         model,

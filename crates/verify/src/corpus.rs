@@ -148,8 +148,6 @@ impl TreeCorpus {
     /// Generates `spec.nets` nets, cycling regimes (and, within the
     /// per-net seed, shapes) so the corpus is evenly stratified.
     pub fn generate(spec: &CorpusSpec) -> Self {
-        let _span = rlc_obs::span!("verify.corpus.generate");
-        rlc_obs::counter!("verify.corpus.nets", spec.nets as u64);
         assert!(spec.max_sections >= 3, "nets need at least 3 sections");
         let mut master = SplitMix64::new(spec.seed);
         let nets = (0..spec.nets)

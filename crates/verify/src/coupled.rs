@@ -81,8 +81,6 @@ impl CoupledCorpus {
     /// Generates `spec.groups` groups, cycling regimes so the corpus is
     /// evenly stratified.
     pub fn generate(spec: &CoupledSpec) -> Self {
-        let _span = rlc_obs::span!("verify.coupled.generate");
-        rlc_obs::counter!("verify.coupled.groups", spec.groups as u64);
         let mut master = SplitMix64::new(spec.seed);
         let groups = (0..spec.groups)
             .map(|i| {
@@ -252,9 +250,6 @@ impl CoupledOracle {
         victim: usize,
         sink: NodeId,
     ) -> Result<CoupledMeasurement, OracleError> {
-        let _span = rlc_obs::span!("verify.coupled.measure");
-        rlc_obs::counter!("verify.coupled.measurements");
-
         // Timescale seeds from the Miller-2 folded victim (the slowest
         // victim scenario) and, for the horizon, the slowest sink model of
         // *any* net — aggressor ringing rides on the victim waveform, so
@@ -632,7 +627,6 @@ impl CoupledConformance {
     /// `rlc_couple` flags as the worst-case — is measured by the oracle
     /// and differenced against the closed-form predictions.
     pub fn run_corpus(&self, spec: &CoupledSpec, corpus: &CoupledCorpus) -> CoupledReport {
-        let _span = rlc_obs::span!("verify.coupled.run");
         let mut outcomes = Vec::with_capacity(corpus.len());
         let mut skipped = Vec::new();
         let mut violations = Vec::new();
@@ -665,7 +659,6 @@ impl CoupledConformance {
             }
             match self.oracle.measure(&g.group, victim, sink_timing.node) {
                 Ok(reference) => {
-                    rlc_obs::counter!("verify.coupled.measured");
                     outcomes.push(CoupledOutcome {
                         group: g.name.clone(),
                         seed: g.seed,
@@ -677,7 +670,6 @@ impl CoupledConformance {
                     });
                 }
                 Err(why) => {
-                    rlc_obs::counter!("verify.coupled.skipped");
                     skipped.push((g.name.clone(), why));
                 }
             }
@@ -732,7 +724,6 @@ fn collect_stats(scenario: CoupledScenario, outcomes: &[CoupledOutcome]) -> Coup
         }
         None => (0.0, String::new(), 0, String::new(), 0.0, 0.0),
     };
-    rlc_obs::value!("verify.coupled.max_abs_err", max_abs);
     CoupledStats {
         scenario,
         count,

@@ -213,7 +213,6 @@ impl FaultPlan {
 
     /// Runs the plan and checks all three isolation contracts.
     pub fn execute(&self) -> FaultReport {
-        let _span = rlc_obs::span!("verify.fault.execute");
         let worker_counts = vec![1, 2, 4, 8];
         let (batch, fault_slots, healthy_slots) = self.build();
         let mut violations = Vec::new();
@@ -249,7 +248,6 @@ impl FaultPlan {
             })
             .collect();
         for check in checks.iter().filter(|c| !c.typed_correctly) {
-            rlc_obs::counter!("verify.fault.mistyped");
             violations.push(format!(
                 "fault {} in slot {}: expected typed error, observed: {}",
                 check.fault, check.slot, check.observed

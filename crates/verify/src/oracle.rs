@@ -115,8 +115,6 @@ impl Oracle {
     ///
     /// Panics if `node` is not part of `tree`.
     pub fn measure(&self, tree: &RlcTree, node: NodeId) -> Result<OracleMeasurement, OracleError> {
-        let _span = rlc_obs::span!("verify.oracle.measure");
-        rlc_obs::counter!("verify.oracle.measurements");
         let sums = rlc_moments::tree_sums(tree);
         let (t_rc, t_lc) = (sums.rc(node), sums.lc(node));
         if t_rc.as_seconds() == 0.0 && t_lc.as_seconds_squared() == 0.0 {

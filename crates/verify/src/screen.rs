@@ -61,7 +61,6 @@ impl ScreenReport {
 ///    threshold and the corpus regime bands agree on what "strongly
 ///    underdamped" means).
 pub fn screen_corpus(corpus: &TreeCorpus) -> ScreenReport {
-    let _span = rlc_obs::span!("verify.screen");
     let mut nets = Vec::with_capacity(corpus.len());
     let mut violations = Vec::new();
     for net in &corpus.nets {
@@ -86,10 +85,6 @@ pub fn screen_corpus(corpus: &TreeCorpus) -> ScreenReport {
             zeta: net.zeta,
             report,
         });
-    }
-    rlc_obs::counter!("verify.screen.nets", nets.len() as u64);
-    if !violations.is_empty() {
-        rlc_obs::counter!("verify.screen.violations", violations.len() as u64);
     }
     ScreenReport { nets, violations }
 }

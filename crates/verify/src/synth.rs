@@ -241,7 +241,6 @@ impl SynthConformance {
     /// Runs the conformance gates over a generated corpus.
     #[expect(clippy::unreachable, reason = "sinks are queried in both evals")]
     pub fn run(&self, spec: &SynthSpec) -> SynthVerifyReport {
-        let _span = rlc_obs::span!("verify.synth.run");
         let mut master = SplitMix64::new(spec.seed);
         let nets: Vec<SynthNet> = (0..spec.nets)
             .map(|i| {
@@ -255,7 +254,6 @@ impl SynthConformance {
         let mut skipped = Vec::new();
         let mut violations = Vec::new();
         for net in &nets {
-            rlc_obs::counter!("verify.synth.nets");
             let synthesis: Synthesis =
                 synthesize_tree(&net.tree, net.driver_r_ohms, &net.buffer, &[], &self.config);
             let baseline_stages = decompose(&net.tree, net.driver_r_ohms, &net.buffer, &[]);

@@ -4,16 +4,6 @@
 # Runs all figure binaries even if some fail, reports the failures at the
 # end, and exits non-zero if any binary errored (I/O, untunable sweep, or
 # a failed SHAPE-CHECK).
-#
-# Pass --obs (or set FEATURES="--features obs") to build with the
-# instrumentation layer: each binary then writes
-# target/figures/<fig>.metrics.json and the metrics_summary aggregator
-# produces target/figures/pipeline_summary.json (see DESIGN.md,
-# "Observability").
-
-if [ "$1" = "--obs" ]; then
-  FEATURES="--features obs"
-fi
 
 failed=""
 for b in fig06_fit fig07_underdamped fig09_input_shape fig10_ladder \
@@ -22,17 +12,10 @@ for b in fig06_fit fig07_underdamped fig09_input_shape fig10_ladder \
          fig_a3_moment_approx fig_a4_model_shootout fig_a5_repeater \
          fig_a6_fidelity; do
   echo "==== $b ===="
-  if ! cargo run -p rlc-bench $FEATURES --bin "$b" --release; then
+  if ! cargo run -p rlc-bench --bin "$b" --release; then
     failed="$failed $b"
   fi
 done
-
-if [ -n "$FEATURES" ]; then
-  echo "==== metrics_summary ===="
-  if ! cargo run -p rlc-bench $FEATURES --bin metrics_summary --release; then
-    failed="$failed metrics_summary"
-  fi
-fi
 
 if [ -n "$failed" ]; then
   echo "FAILED:$failed" >&2

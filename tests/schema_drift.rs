@@ -25,7 +25,7 @@ use std::process::Command;
 use rlc_engine::{Batch, CoupleBatch, Engine, SynthBatch};
 use rlc_lint::{lint_deck, render_document};
 use rlc_obs::json::{parse, quote, Value};
-use rlc_obs::{Snapshot, SpanStat, TimeSource, ValueStat};
+use rlc_obs::TimeSource;
 use rlc_serve::{serve_stdio, ServeConfig, TelemetryConfig};
 use rlc_tree::coupled::CoupledGroup;
 use rlc_verify::{Conformance, CorpusSpec, Oracle, SynthConformance, SynthSpec};
@@ -37,7 +37,6 @@ const SURFACES: &[&str] = &[
     "rlc-engine-synth/1",
     "rlc-engine/1",
     "rlc-lint/1",
-    "rlc-obs/1",
     "rlc-serve/1",
     "rlc-synth/1",
     "rlc-trace/1",
@@ -118,7 +117,7 @@ fn key_paths(doc: &Value, prefix: &str, out: &mut BTreeSet<String>) {
     }
 }
 
-/// Renders the descriptor document for `tag` (e.g. `rlc-obs/1`).
+/// Renders the descriptor document for `tag` (e.g. `rlc-lint/1`).
 fn descriptor_json(tag: &str, keys: &BTreeSet<String>) -> String {
     let mut out = format!("{{\n  \"schema\": {},\n  \"keys\": [", quote(tag));
     for (i, key) in keys.iter().enumerate() {
@@ -134,7 +133,7 @@ fn descriptor_json(tag: &str, keys: &BTreeSet<String>) -> String {
 }
 
 /// The canonical descriptor file name for a version tag:
-/// `rlc-obs/1` → `rlc-obs-1.json`.
+/// `rlc-lint/1` → `rlc-lint-1.json`.
 fn descriptor_file_name(tag: &str) -> String {
     format!("{}.json", tag.replace('/', "-"))
 }
@@ -159,29 +158,6 @@ fn logical_time_config() -> ServeConfig {
 /// and the error shape of each report wherever the surface has both.
 fn exemplars() -> BTreeMap<String, BTreeSet<String>> {
     let mut tags: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-
-    // rlc-obs/1: a hand-built snapshot with every section populated.
-    let snapshot = Snapshot {
-        counters: vec![("sim.steps".to_owned(), 2000)],
-        values: vec![(
-            "residual".to_owned(),
-            ValueStat {
-                count: 2,
-                sum: 3.0,
-                min: 1.0,
-                max: 2.0,
-            },
-        )],
-        spans: vec![(
-            "eval".to_owned(),
-            SpanStat {
-                count: 1,
-                total_ns: 120,
-                self_ns: 120,
-            },
-        )],
-    };
-    harvest_text(&snapshot.to_json(), &mut tags);
 
     // rlc-engine/1: one healthy net, one parse failure.
     let mut batch = Batch::new();
